@@ -23,7 +23,7 @@
 //     per iteration through Executor::evalExpr (the loop itself is
 //     outside the machine's L fragment — see ROADMAP);
 //   * RunAllBatch               — the Session's batch entry point
-//     fanning 32 requests across its worker pool;
+//     running 32 requests in order on the calling thread;
 //   * CompileColdFrontEnd vs CompileWarmStoreHit — a fresh Session per
 //     iteration, without and with a warm on-disk artifact store: the
 //     warm variant demonstrates compile-phase time collapsing to .levc
@@ -303,8 +303,8 @@ int main(int argc, char **argv) {
   std::printf(
       "Driver throughput: N threads x one Session / one Compilation.\n"
       "Expected shape: cached compiles and tree runs scale with threads;\n"
-      "machine runs replay into per-executor run arenas; RunAll fans a\n"
-      "32-request batch across the session's worker pool. peak_heap_*\n"
+      "machine runs replay into per-executor run arenas; RunAll runs a\n"
+      "32-request batch in order on the calling thread. peak_heap_*\n"
       "counters are per-run footprints and must stay flat across\n"
       "iterations (the long-lived-Session reclamation guarantee).\n\n");
   benchmark::Initialize(&argc, argv);

@@ -54,7 +54,6 @@ int usage(const char *Argv0) {
       "  --socket PATH       listen on a Unix-domain socket (default:\n"
       "                      serve the LEVP/1 REPL on stdin/stdout)\n"
       "  --store DIR         on-disk artifact store (the L2 cache)\n"
-      "  --workers N         session worker threads (0 = hardware)\n"
       "  --queue-depth N     admission cap on in-flight requests\n"
       "                      (0 = unbounded; default 128)\n"
       "  --default-fuel N    per-run step deadline when RUN names none\n"
@@ -91,8 +90,6 @@ int main(int argc, char **argv) {
       SocketPath = Val;
     } else if (Arg == "--store" && (Val = Next())) {
       Opts.Compile.StorePath = Val;
-    } else if (Arg == "--workers" && (Val = Next()) && parseSize(Val, V)) {
-      Opts.Compile.AsyncWorkers = static_cast<unsigned>(V);
     } else if (Arg == "--queue-depth" && (Val = Next()) &&
                parseSize(Val, V)) {
       Opts.MaxQueueDepth = static_cast<size_t>(V);

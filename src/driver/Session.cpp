@@ -17,6 +17,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <future>
 #include <list>
 #include <sstream>
 #include <thread>
@@ -343,8 +344,8 @@ struct Session::Shard {
   std::unordered_map<uint64_t, std::vector<std::list<Entry>::iterator>> Map;
 };
 
-/// A lazily-spawned fixed pool draining a FIFO of tasks; backs
-/// compileAsync and runAll.
+/// A lazily-spawned fixed pool draining a FIFO of tasks; runs the
+/// store's write-behind.
 struct Session::WorkerPool {
   explicit WorkerPool(unsigned N) {
     for (unsigned I = 0; I != N; ++I)
@@ -442,9 +443,9 @@ std::shared_ptr<Compilation> Session::buildSource(std::string_view Source,
   Comp->compileSource(Source);
   NumCompilations.fetch_add(1, std::memory_order_relaxed);
 
-  // Write-behind: persist off the caller's critical path (the worker
-  // pool also forces the all-globals lowering there). flushStoreWrites()
-  // and the destructor are the completion barriers.
+  // Write-behind, the worker pool's only job: persist off the caller's
+  // critical path (the pool also forces the all-globals lowering there).
+  // flushStoreWrites() and the destructor are the completion barriers.
   if (Store && Comp->ok()) {
     {
       std::lock_guard<std::mutex> Lock(StoreFlushM);
@@ -489,6 +490,31 @@ size_t Session::evictStore(size_t MaxEntries, uint64_t MaxBytes) {
   return N;
 }
 
+void Session::evictOverCap(Shard &Sh) {
+  size_t Cap = perShardCap();
+  if (!Cap || Sh.LRU.size() <= Cap)
+    return;
+  // Evict least-recently-used *finished* entries. In-flight builds are
+  // never evicted — that would re-admit a second owner for the same
+  // source and break compile-once dedup — so the cap may be exceeded
+  // while builds are outstanding; each owner re-runs this once its
+  // build publishes.
+  for (auto It = std::prev(Sh.LRU.end());
+       Sh.LRU.size() > Cap && It != Sh.LRU.begin();) {
+    auto Victim = It--;
+    if (Victim->Fut.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready)
+      continue;
+    auto &Bucket = Sh.Map[Victim->Hash];
+    Bucket.erase(std::remove(Bucket.begin(), Bucket.end(), Victim),
+                 Bucket.end());
+    if (Bucket.empty())
+      Sh.Map.erase(Victim->Hash);
+    Sh.LRU.erase(Victim);
+    NumEvictions.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 std::shared_ptr<Compilation> Session::compile(std::string_view Source) {
   CompileOutcome Outcome;
   return compile(Source, Outcome);
@@ -527,26 +553,7 @@ std::shared_ptr<Compilation> Session::compile(std::string_view Source,
       Sh.LRU.push_front({H, std::string(Source), OwnGen, Fut});
       Sh.Map[H].push_back(Sh.LRU.begin());
 
-      if (size_t Cap = perShardCap()) {
-        // Evict least-recently-used *finished* entries. In-flight builds
-        // are never evicted — that would re-admit a second owner for the
-        // same source and break compile-once dedup — so the cap may be
-        // transiently exceeded while builds are outstanding.
-        for (auto It = std::prev(Sh.LRU.end());
-             Sh.LRU.size() > Cap && It != Sh.LRU.begin();) {
-          auto Victim = It--;
-          if (Victim->Fut.wait_for(std::chrono::seconds(0)) !=
-              std::future_status::ready)
-            continue;
-          auto &Bucket = Sh.Map[Victim->Hash];
-          Bucket.erase(std::remove(Bucket.begin(), Bucket.end(), Victim),
-                       Bucket.end());
-          if (Bucket.empty())
-            Sh.Map.erase(Victim->Hash);
-          Sh.LRU.erase(Victim);
-          NumEvictions.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+      evictOverCap(Sh);
     }
   }
 
@@ -584,6 +591,12 @@ std::shared_ptr<Compilation> Session::compile(std::string_view Source,
     throw;
   }
   Prom.set_value(Comp);
+  if (perShardCap()) {
+    // Our entry just became evictable: re-enforce the cap, or the shard
+    // stays over it until its next insert.
+    std::lock_guard<std::mutex> Lock(Sh.M);
+    evictOverCap(Sh);
+  }
   return Comp;
 }
 
@@ -625,7 +638,7 @@ size_t Session::cacheSize() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Session — async compilation and batch running
+// Session — the write-behind pool and batch running
 //===----------------------------------------------------------------------===//
 
 Session::WorkerPool &Session::pool() {
@@ -640,55 +653,27 @@ Session::WorkerPool &Session::pool() {
   return *Pool;
 }
 
-std::future<std::shared_ptr<Compilation>>
-Session::compileAsync(std::string_view Source, CompileOutcome *Outcome) {
-  auto Task =
-      std::make_shared<std::packaged_task<std::shared_ptr<Compilation>()>>(
-          [this, Src = std::string(Source), Outcome] {
-            CompileOutcome Local;
-            std::shared_ptr<Compilation> Comp = compile(Src, Local);
-            if (Outcome)
-              *Outcome = Local; // Happens-before the future's readiness.
-            return Comp;
-          });
-  std::future<std::shared_ptr<Compilation>> Fut = Task->get_future();
-  pool().submit([Task] { (*Task)(); });
-  return Fut;
-}
-
 std::vector<RunResult>
 Session::runAll(std::span<const RunRequest> Requests) {
-  std::vector<std::future<RunResult>> Futures;
-  Futures.reserve(Requests.size());
-  for (const RunRequest &Req : Requests) {
-    // Tasks copy their request: if an early future rethrows below, the
-    // caller's span may die while later tasks are still queued.
-    auto Task = std::make_shared<std::packaged_task<RunResult()>>(
-        [this, Req] {
-          CompileOutcome Outcome;
-          std::shared_ptr<Compilation> Comp = compile(Req.Source, Outcome);
-          if (Req.Outcome)
-            *Req.Outcome = Outcome; // Published by the future below.
-          Executor Ex(Comp);
-          if (Req.Fuel) {
-            // The per-request deadline: whichever backend runs, it stops
-            // (with Status::OutOfFuel) after this many of its own steps.
-            CompileOptions &O = Ex.options();
-            O.MaxInterpSteps = *Req.Fuel;
-            O.MaxMachineSteps = *Req.Fuel;
-            O.MaxVmSteps = *Req.Fuel;
-            O.MaxFormalSteps = static_cast<size_t>(*Req.Fuel);
-          }
-          return Ex.run(Req.Name, Req.B.value_or(Opts.DefaultBackend));
-        });
-    Futures.push_back(Task->get_future());
-    pool().submit([Task] { (*Task)(); });
-  }
-
   std::vector<RunResult> Out;
-  Out.reserve(Futures.size());
-  for (std::future<RunResult> &F : Futures)
-    Out.push_back(F.get());
+  Out.reserve(Requests.size());
+  for (const RunRequest &Req : Requests) {
+    CompileOutcome Outcome;
+    std::shared_ptr<Compilation> Comp = compile(Req.Source, Outcome);
+    if (Req.Outcome)
+      *Req.Outcome = Outcome;
+    Executor Ex(Comp);
+    if (Req.Fuel) {
+      // The per-request deadline: whichever backend runs, it stops (with
+      // Status::OutOfFuel) after this many of its own steps.
+      CompileOptions &O = Ex.options();
+      O.MaxInterpSteps = *Req.Fuel;
+      O.MaxMachineSteps = *Req.Fuel;
+      O.MaxVmSteps = *Req.Fuel;
+      O.MaxFormalSteps = static_cast<size_t>(*Req.Fuel);
+    }
+    Out.push_back(Ex.run(Req.Name, Req.B.value_or(Opts.DefaultBackend)));
+  }
   return Out;
 }
 

@@ -32,9 +32,8 @@
 ///    fuel knobs, and ad-hoc expression evaluation. One Executor per
 ///    thread; `Compilation::run` spins up a transient one per call.
 ///  * A **Session is thread-safe**: the compilation cache is sharded with
-///    a mutex per shard (and an optional LRU bound), `compileAsync`
-///    dispatches compiles onto a small worker pool, and `runAll` is a
-///    batch compile-and-run entry point for throughput workloads.
+///    a mutex per shard (and an optional LRU bound), and `runAll` is a
+///    batch compile-and-run entry point that runs on the caller's thread.
 ///
 /// One Session owns a compilation cache keyed by source hash, so repeated
 /// compiles of identical source return the *same* Compilation (and its
@@ -69,7 +68,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -121,8 +119,9 @@ struct CompileOptions {
   /// bound is approximate (enforced per cache shard), evictions are
   /// counted in Session::Stats::Evictions.
   size_t MaxCachedCompilations = 0;
-  /// Worker threads behind compileAsync/runAll; 0 = pick from hardware
-  /// concurrency. The pool is spawned lazily on first async use.
+  /// Worker threads behind the artifact store's write-behind; 0 = pick
+  /// from hardware concurrency. The pool is spawned lazily on the first
+  /// store write.
   unsigned AsyncWorkers = 0;
   /// Root directory of the persistent on-disk compilation store; empty =
   /// disabled. When set, compile() is read-through/write-behind against
@@ -544,8 +543,8 @@ public:
   /// A session with explicit knobs; opens the artifact store when
   /// Opts.StorePath is set (the directory is created on first write).
   explicit Session(CompileOptions Opts);
-  /// Joins the worker pool after draining it — pending compileAsync
-  /// tasks and write-behind store writes complete before return.
+  /// Joins the worker pool after draining it — pending write-behind
+  /// store writes complete before return.
   ~Session();
   Session(const Session &) = delete;
   Session &operator=(const Session &) = delete;
@@ -561,13 +560,6 @@ public:
   /// 1:1 with the Stats counter this call bumped.
   std::shared_ptr<Compilation> compile(std::string_view Source,
                                        CompileOutcome &Outcome);
-
-  /// Like compile(), but dispatched onto the session's worker pool;
-  /// returns immediately. The future yields the same cached Compilation
-  /// a synchronous compile would. When \p Outcome is non-null it is
-  /// written before the future becomes ready (read it only after get()).
-  std::future<std::shared_ptr<Compilation>>
-  compileAsync(std::string_view Source, CompileOutcome *Outcome = nullptr);
 
   /// Wraps a programmatically-built core program (e.g. the Samples
   /// builders) in a Compilation, so core-IR workloads ride the same
@@ -591,16 +583,17 @@ public:
     /// Per-request step budget: overrides every backend's fuel knob for
     /// this run, so a batch front end can impose a deadline per request
     /// (fuel exhaustion comes back as Status::OutOfFuel — the typed
-    /// TIMEOUT signal — never as a wedged worker).
+    /// TIMEOUT signal — never as a wedged thread).
     std::optional<uint64_t> Fuel;
     /// When non-null, receives how this request's compile was served
     /// (written before the run executes; the pointee must outlive the
     /// runAll call).
     CompileOutcome *Outcome = nullptr;
   };
-  /// Batch entry point: compiles and runs every request on the worker
-  /// pool (sharing the cache, so duplicate sources compile once) and
-  /// returns results in request order.
+  /// Batch entry point: compiles and runs every request in order on the
+  /// calling thread (sharing the cache, so duplicate sources compile
+  /// once), each on a transient Executor, and returns the results in
+  /// request order.
   std::vector<RunResult> runAll(std::span<const RunRequest> Requests);
 
   /// The session's monotonic counters. Stats is a plain copyable value:
@@ -619,7 +612,9 @@ public:
                                ///< full compile (absent, corrupt, or
                                ///< stale-version entries).
     uint64_t DiskEvictions = 0; ///< .levc files removed to enforce
-                                ///< CompileOptions::MaxStoredArtifacts.
+                                ///< CompileOptions::MaxStoredArtifacts
+                                ///< or MaxStoreBytes, on write-behind
+                                ///< or by evictStore().
   };
   /// Snapshot of every counter, taken at one call. Each field is read
   /// atomically; the struct is the unit tests and benches should hold on
@@ -654,11 +649,14 @@ private:
   std::shared_ptr<Compilation> buildSource(std::string_view Source,
                                            CompileOutcome &Outcome);
   /// Serializes \p Comp and publishes it in the store under \p Hash,
-  /// then enforces MaxStoredArtifacts. Runs on the worker pool.
+  /// then enforces the store budgets. Runs on the worker pool.
   void writeArtifact(const std::shared_ptr<Compilation> &Comp,
                      uint64_t Hash);
   WorkerPool &pool();
   size_t perShardCap() const;
+  /// Evicts \p Sh's least-recently-used finished entries down to
+  /// perShardCap(). Caller holds Sh.M.
+  void evictOverCap(Shard &Sh);
 
   CompileOptions Opts;
 

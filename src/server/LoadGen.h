@@ -19,7 +19,7 @@
 /// (registration COMPILEs, warm re-COMPILEs, RUNs rotating across the
 /// three backends, optional fuel-starved RUNs that must come back as
 /// typed TIMEOUTs), with pipelined batches to exercise the server's
-/// runAll batching and BUSY-aware retries to exercise admission control.
+/// batch admission and BUSY-aware retries to exercise admission control.
 ///
 /// Client is transport-neutral: InProcessClient calls straight into a
 /// Server (no I/O — the benchmark path), SocketClient speaks the wire

@@ -37,8 +37,8 @@
 /// FrameReader/ResponseReader are incremental: feed them whatever bytes
 /// arrived (a socket read, half a line, ten pipelined frames) and drain
 /// complete frames one at a time. The server drains *all* buffered
-/// frames before executing, which is what lets it batch pipelined RUNs
-/// through Session::runAll.
+/// frames before executing, which is what lets it admit pipelined RUNs
+/// as one batch before running any of them.
 ///
 //===----------------------------------------------------------------------===//
 

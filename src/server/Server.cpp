@@ -73,10 +73,8 @@ Response Server::doCompile(const Request &R) {
     withTenant(R.Tenant, [](TenantStats &T) { ++T.Rejected; });
     return {Response::Status::Busy, "queue full"};
   }
-  // Execute on the session's bounded pool, like every other request.
   driver::CompileOutcome Outcome;
-  std::shared_ptr<driver::Compilation> Comp =
-      S.compileAsync(R.Source, &Outcome).get();
+  std::shared_ptr<driver::Compilation> Comp = S.compile(R.Source, Outcome);
   release();
 
   bool Ok = Comp->ok();
@@ -176,9 +174,9 @@ Response Server::foldRunResult(const std::string &Tenant,
 
 void Server::doRunBatch(const std::vector<const Request *> &Batch,
                         std::vector<Response *> &Out) {
-  // Admit + resolve each request first; the surviving subset goes to the
-  // session pool as ONE runAll batch, so pipelined RUNs of distinct
-  // programs execute in parallel.
+  // Admit + resolve each request first, so admission sees the whole
+  // batch before any of it runs; the surviving subset then runs as ONE
+  // runAll batch, in order, on this connection's thread.
   struct Slot {
     size_t Index;                    ///< Position in Batch/Out.
     driver::CompileOutcome Outcome;  ///< Written by runAll.

@@ -18,18 +18,17 @@
 ///   * **RUN** evaluates a registered program on a chosen backend with a
 ///     per-request *fuel deadline*: a runaway program stops itself after
 ///     that many backend steps and comes back as a typed `TIMEOUT`
-///     response — a worker is never wedged.
+///     response — a connection thread is never wedged.
 ///   * **STATS** returns the tenant's accounting ledger (TenantStats);
 ///     `STATS *` returns the server-wide snapshot, whose totals
 ///     reconcile exactly with Session::Stats.
 ///   * **EVICT** enforces the on-disk store budgets now.
 ///   * **SHUTDOWN** drains and stops the server.
 ///
-/// Execution always lands on the session's bounded worker pool
-/// (CompileOptions::AsyncWorkers): compiles go through compileAsync and
-/// runs through runAll — pipelined RUN frames on one connection are
-/// drained first and dispatched as a *single* runAll batch, so burst
-/// traffic of distinct programs fans out across the pool. Admission
+/// Every request executes on the thread that received it: compiles go
+/// through Session::compile and runs through Session::runAll —
+/// pipelined RUN frames on one connection are drained first, admitted
+/// together, and run in order as a *single* runAll batch. Admission
 /// control caps the number of requests in flight across all connections
 /// (ServerOptions::MaxQueueDepth); beyond the cap a request is rejected
 /// immediately with a typed `BUSY` response instead of queueing without
@@ -93,7 +92,7 @@ struct TenantStats {
 /// Knobs for a Server (one struct so levityd flags map 1:1).
 struct ServerOptions {
   /// Session knobs: backend, fuel defaults, cache bounds, StorePath (the
-  /// L2 store), AsyncWorkers (the bounded execution pool).
+  /// L2 store) and its write-behind pool size (AsyncWorkers).
   driver::CompileOptions Compile;
   /// Admission cap: the maximum number of COMPILE/RUN requests admitted
   /// concurrently across every connection (queued or executing). Beyond
@@ -126,9 +125,11 @@ public:
   /// embedding entry point; the transports below all reduce to this.
   Response handle(const Request &R);
 
-  /// Executes a batch of drained frames in order, returning one response
-  /// per frame (parse errors become BADREQ responses). Maximal runs of
-  /// consecutive RUN frames are dispatched as one Session::runAll batch.
+  /// Executes a batch of drained frames in order on the calling thread,
+  /// returning one response per frame (parse errors become BADREQ
+  /// responses). Each maximal run of consecutive RUN frames is admitted
+  /// as a whole before any of it runs, then goes through one
+  /// Session::runAll call.
   std::vector<Response>
   process(const std::vector<Result<Request>> &Frames);
 
@@ -195,9 +196,10 @@ private:
   Response doCompile(const Request &R);
   Response doStats(const Request &R);
   Response doEvict(const Request &R);
-  /// Executes \p Batch (parallel slots of Requests/Responses): admitted
-  /// RUNs go through one Session::runAll call; unknown programs and
-  /// admission rejections are answered in place.
+  /// Executes \p Batch (parallel slots of Requests/Responses): admits
+  /// every request first, then runs the admitted RUNs in order through
+  /// one Session::runAll call; unknown programs and admission rejections
+  /// are answered in place.
   void doRunBatch(const std::vector<const Request *> &Batch,
                   std::vector<Response *> &Out);
 

@@ -700,15 +700,10 @@ TEST(DriverTest, RunAllWritesOutcomes) {
   std::vector<RunResult> Results = S.runAll(Reqs);
   ASSERT_EQ(Results.size(), 2u);
   EXPECT_TRUE(Results[0].ok() && Results[1].ok());
-  // Identical sources race for ownership: exactly one FrontEnd build,
-  // the other call is attributed to the cache (possibly by waiting on
-  // the winner's in-flight compile).
-  int FrontEnds = (O[0] == CompileOutcome::FrontEnd) +
-                  (O[1] == CompileOutcome::FrontEnd);
-  int CacheHits = (O[0] == CompileOutcome::CacheHit) +
-                  (O[1] == CompileOutcome::CacheHit);
-  EXPECT_EQ(FrontEnds, 1);
-  EXPECT_EQ(CacheHits, 1);
+  // Requests run in order: the first builds, the second hits its cache
+  // entry.
+  EXPECT_EQ(O[0], CompileOutcome::FrontEnd);
+  EXPECT_EQ(O[1], CompileOutcome::CacheHit);
 }
 
 TEST(DriverTest, FormalPrimopsAgreeAcrossSemantics) {
