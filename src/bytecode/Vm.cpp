@@ -33,6 +33,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/Vm.h"
+#include "support/DoubleText.h"
 
 #include <limits>
 
@@ -88,7 +89,7 @@ std::string renderValue(Slot V) {
   if (V.isInt())
     return std::to_string(V.I);
   if (V.isDbl())
-    return std::to_string(V.D);
+    return support::doubleText(V.D) + "##";
   const Obj *O = V.P;
   if (O->Kind == Obj::K::Closure || O->Kind == Obj::K::Pap)
     return "<closure>";
@@ -105,7 +106,7 @@ std::string renderValue(Slot V) {
       if (F.isInt())
         S += std::to_string(F.I);
       else if (F.isDbl())
-        S += std::to_string(F.D);
+        S += support::doubleText(F.D);
       else
         S += "•";
     }

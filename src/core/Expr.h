@@ -99,12 +99,6 @@ enum class PrimOp : uint8_t {
 std::string_view primOpName(PrimOp Op);
 unsigned primOpArity(PrimOp Op);
 
-/// Number of PrimOp values; folded into the artifact pipeline
-/// fingerprint (driver/Serialize.h) because the on-disk CORE section
-/// encodes primops by their numeric value — a new primop must
-/// invalidate stale stores.
-inline constexpr unsigned NumPrimOps = unsigned(PrimOp::IsTrue) + 1;
-
 //===----------------------------------------------------------------------===//
 // Expressions
 //===----------------------------------------------------------------------===//

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/CoreContext.h"
+#include "support/DoubleText.h"
 
 #include <sstream>
 #include <unordered_map>
@@ -624,7 +625,7 @@ std::string Literal::str() const {
   case Tag::IntHash:
     return std::to_string(I) + "#";
   case Tag::DoubleHash:
-    return std::to_string(D) + "##";
+    return support::doubleText(D) + "##";
   case Tag::String:
     return "\"" + std::string(S.str()) + "\"";
   }

@@ -52,10 +52,6 @@ uint64_t levc::pipelineFingerprint() {
   W.u32(Term::NumTermKinds);
   W.u32(mcalc::NumMPrims);
   W.u32(mcalc::NumVarSorts);
-  // The CORE section encodes core primops (and rep atoms) by numeric
-  // value; growing either enum must invalidate stale stores.
-  W.u32(core::NumPrimOps);
-  W.u32(static_cast<uint32_t>(RepCtor::Sum) + 1);
   // The BCOD section encodes instructions by stable opcode tag; a new
   // opcode must invalidate stale stores.
   W.u32(bytecode::NumOps);
@@ -803,19 +799,6 @@ Result<std::string> Compilation::serializeArtifact() const {
     Types.str(globalTypeText(Name));
   }
 
-  // The optional CORE section: the elaborated core program, so
-  // tree-backend consumers of a warm store skip the front end too. Best
-  // effort — when the program is unavailable (machine-only hydration)
-  // or not stably encodable, the section is simply omitted and
-  // hydrated consumers lazily rebuild the front end as before.
-  ByteWriter Core;
-  bool HasCore = false;
-  if (Elaborated)
-    HasCore = levc::writeCoreSection(Core, C, Elaborated->Program,
-                                     Elaborated->UserBindings);
-  if (!HasCore)
-    Core = ByteWriter();
-
   // The optional BCOD section: compiled bytecode, so warm-store
   // Backend::Bytecode runs skip even the bytecode compiler. Bytecode
   // sessions force every global's compilation now (mirroring the M
@@ -871,7 +854,7 @@ Result<std::string> Compilation::serializeArtifact() const {
   W.u32(levc::FormatVersion);
   W.u64(levc::pipelineFingerprint());
   W.u64(SrcHash);
-  W.u32(4 + (HasCore ? 1 : 0) + (NumBc ? 1 : 0)); // section count
+  W.u32(4 + (NumBc ? 1 : 0)); // section count
   auto Section = [&W](uint32_t Id, const std::string &Payload) {
     W.u32(Id);
     W.u64(Payload.size());
@@ -881,8 +864,6 @@ Result<std::string> Compilation::serializeArtifact() const {
   Section(levc::SecMeta, Meta.bytes());
   Section(levc::SecTypes, Types.bytes());
   Section(levc::SecTerms, Terms.bytes());
-  if (HasCore)
-    Section(levc::SecCore, Core.bytes());
   if (NumBc)
     Section(levc::SecBytecode, Bc.bytes());
   W.u64(levc::fnv1a(W.bytes())); // trailer checksum
@@ -919,7 +900,7 @@ Compilation::deserializeArtifact(std::string_view Bytes,
   if (Hash != Session::hashSource(ExpectedSource))
     return nullptr;
 
-  std::string_view Src, Meta, Types, Terms, Core, Bc;
+  std::string_view Src, Meta, Types, Terms, Bc;
   uint32_t NumSections = R.u32();
   if (!R.ok() || NumSections > 64)
     return nullptr;
@@ -934,7 +915,6 @@ Compilation::deserializeArtifact(std::string_view Bytes,
     case levc::SecMeta: Meta = Payload; break;
     case levc::SecTypes: Types = Payload; break;
     case levc::SecTerms: Terms = Payload; break;
-    case levc::SecCore: Core = Payload; break;
     case levc::SecBytecode: Bc = Payload; break;
     default: break; // Unknown sections: skip (forward compatibility).
     }
@@ -997,34 +977,6 @@ Compilation::deserializeArtifact(std::string_view Bytes,
         return nullptr;
       MP.MTerms.emplace(std::move(Name),
                         Result<const Term *>(err(std::move(Error))));
-    }
-  }
-
-  // The optional CORE section: rebuild the elaborated program so tree
-  // runs (and program()/globalType()) need no front end at all. A
-  // malformed section is ignored — the lazy front-end rebuild still
-  // covers those consumers. The decode is dry-run against a scratch
-  // context first: decoding mutates the context (tycons/datacons are
-  // created as they stream in), and a half-decoded failure must leave
-  // Comp's context pristine or the front-end fallback would
-  // re-elaborate into it and trip duplicate-definition errors.
-  if (!Core.empty()) {
-    core::CoreContext Scratch;
-    core::CoreProgram ScratchProg;
-    std::vector<Symbol> ScratchNames;
-    ByteReader Probe(Core);
-    if (levc::readCoreSection(Probe, Scratch, ScratchProg,
-                              ScratchNames)) {
-      ByteReader CoreR(Core);
-      core::CoreProgram Prog;
-      std::vector<Symbol> UserBindings;
-      if (levc::readCoreSection(CoreR, Comp->C, Prog, UserBindings)) {
-        surface::ElabOutput Out;
-        Out.Program = std::move(Prog);
-        Out.UserBindings = std::move(UserBindings);
-        Comp->Elaborated = std::move(Out);
-        Comp->HydratedCore = true;
-      }
     }
   }
 

@@ -39,8 +39,6 @@
 #define LEVITY_DRIVER_SERIALIZE_H
 
 #include "bytecode/Bytecode.h"
-#include "core/CoreContext.h"
-#include "core/Program.h"
 #include "mcalc/Syntax.h"
 
 #include <cstdint>
@@ -63,6 +61,9 @@ inline constexpr char Magic[4] = {'L', 'E', 'V', 'C'};
 /// v3 (PR 6): the optional BCOD section — per-global compiled bytecode
 /// modules, so warm-store Backend::Bytecode runs need zero front-end,
 /// lowering, or bytecode-compilation work.
+/// Still v3 without the CORE section: writers no longer emit it and
+/// readers skip its id like any unknown section; the fingerprint lost
+/// its core-primop and rep-atom terms, so stores that carry one miss.
 inline constexpr uint32_t FormatVersion = 3;
 
 /// Names the semantics of the compiled artifacts. Bump whenever the
@@ -79,9 +80,6 @@ enum SectionId : uint32_t {
   SecMeta = 0x4154454D,   ///< "META" — timings, backend, name counter.
   SecTypes = 0x45505954,  ///< "TYPE" — pretty-printed global types.
   SecTerms = 0x4D52544D,  ///< "MTRM" — per-global M terms / failures.
-  SecCore = 0x45524F43,   ///< "CORE" — the elaborated core program
-                          ///< (optional; lets tree-backend consumers of
-                          ///< a warm store skip the front end too).
   SecBytecode = 0x444F4342, ///< "BCOD" — per-global compiled bytecode
                             ///< modules (optional; lets Bytecode-backend
                             ///< consumers of a warm store skip even the
@@ -169,29 +167,6 @@ const mcalc::Term *readTerm(ByteReader &R, mcalc::MContext &Ctx);
 /// overflow even an -O0/sanitizer thread stack, and still an order of
 /// magnitude beyond any term the lowering produces for this fragment.
 inline constexpr unsigned MaxTermDepth = 1u << 11;
-
-//===----------------------------------------------------------------------===//
-// Core-program encoding — the optional CORE section (SerializeCore.cpp)
-//===----------------------------------------------------------------------===//
-
-/// Encodes the elaborated core program — the data declarations its
-/// bindings reference (transitively), the bindings themselves, and the
-/// user-binding name list — so a hydrating process can serve
-/// tree-backend runs with zero front-end work. \returns false when the
-/// program contains something the codec cannot stably encode (an
-/// unsolved metavariable); callers then simply omit the CORE section
-/// and hydrated consumers fall back to the lazy front-end rebuild.
-bool writeCoreSection(ByteWriter &W, core::CoreContext &C,
-                      const core::CoreProgram &Program,
-                      const std::vector<Symbol> &UserBindings);
-
-/// Decodes a CORE section into \p C, recreating user type/data
-/// constructors (builtins are matched by name) and the program.
-/// \returns false on any malformed input — callers treat that as "no
-/// CORE section", never an error.
-bool readCoreSection(ByteReader &R, core::CoreContext &C,
-                     core::CoreProgram &Program,
-                     std::vector<Symbol> &UserBindings);
 
 /// Decode refuses constructor nodes/patterns with more fields than this
 /// and switches with more alternatives than this — a corrupt count must

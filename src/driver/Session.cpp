@@ -148,9 +148,7 @@ Compilation::MachinePipeline &Compilation::machine() const {
 }
 
 void Compilation::ensureFrontEnd() const {
-  // A CORE-section hydration installed Elaborated at decode time; the
-  // front end never needs to run.
-  if (!Hydrated || HydratedCore)
+  if (!Hydrated)
     return;
   // Rebuild the front end from the stored source, exactly once, through
   // the same stage sequence compileSource uses. The source compiled
@@ -212,14 +210,11 @@ Compilation::machineTerm(std::string_view Name) const {
 
   Result<const mcalc::Term *> Out = [&]() -> Result<const mcalc::Term *> {
     // Hydrated artifacts pre-populate MTerms with *every* top-level
-    // binding; a slow-path miss can only be an unknown name. (Also keeps
-    // this path from racing the lazy front-end rebuild on Elaborated.)
-    // CORE-hydrated compilations carry the program — set before
-    // publication, no rebuild race — so they may lower like a
-    // front-end-built one.
-    if (Hydrated && !HydratedCore)
-      return err("no M lowering for '" + std::string(Name) +
-                 "' in the on-disk artifact (unknown global)");
+    // binding; a slow-path miss can only be an unknown name, reported
+    // as CoreToL::lowerGlobal would. (Also keeps this path from racing
+    // the lazy front-end rebuild on Elaborated.)
+    if (Hydrated)
+      return err("no top-level binding named '" + std::string(Name) + "'");
     if (!Elaborated)
       return err("no compiled program");
     CoreToL Lower(C, MP.L);

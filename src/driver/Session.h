@@ -288,14 +288,10 @@ public:
   /// end. Hydrated compilations run on Backend::AbstractMachine with
   /// *zero* front-end or lowering work; the first use that genuinely
   /// needs core IR (a tree-interp run, program(), globalType()) rebuilds
-  /// the front end lazily, exactly once, thread-safely — unless the
-  /// artifact carried a CORE section (see hydratedCore()).
+  /// the front end lazily, exactly once, thread-safely. That rebuild is
+  /// the only way a hydrated compilation gets core IR back: artifacts
+  /// carry M terms and bytecode, not the core program.
   bool hydrated() const { return Hydrated; }
-
-  /// True when the artifact's CORE section restored the elaborated core
-  /// program, so even tree-interp runs and program() consumers skip the
-  /// front end (lex/parse/elaborate) entirely.
-  bool hydratedCore() const { return HydratedCore; }
 
   /// True when the artifact's BCOD section restored compiled bytecode
   /// modules, so Backend::Bytecode runs execute with zero front-end,
@@ -479,9 +475,6 @@ private:
   /// True for store-rehydrated compilations (set before publication,
   /// constant afterwards).
   bool Hydrated = false;
-  /// True when hydration restored the core program from the artifact's
-  /// CORE section (set before publication, constant afterwards).
-  bool HydratedCore = false;
   /// True when hydration restored compiled bytecode from the artifact's
   /// BCOD section (set before publication, constant afterwards).
   bool HydratedBytecode = false;

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "lcalc/Syntax.h"
+#include "support/DoubleText.h"
 
 #include <sstream>
 #include <unordered_map>
@@ -162,7 +163,7 @@ void printExpr(std::ostringstream &OS, const Expr *E, int Prec) {
     OS << cast<IntLitExpr>(E)->value();
     return;
   case Expr::ExprKind::DoubleLit:
-    OS << cast<DoubleLitExpr>(E)->value() << "##";
+    OS << support::doubleText(cast<DoubleLitExpr>(E)->value()) << "##";
     return;
   case Expr::ExprKind::Error:
     OS << "error";
@@ -290,7 +291,7 @@ void printExpr(std::ostringstream &OS, const Expr *E, int Prec) {
           OS << A.IntVal;
           break;
         case LAlt::PatKind::Dbl:
-          OS << A.DblVal << "##";
+          OS << support::doubleText(A.DblVal) << "##";
           break;
         }
         OS << " -> ";

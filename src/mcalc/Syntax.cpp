@@ -25,7 +25,7 @@ void printTerm(std::ostringstream &OS, const Term *T, int Prec) {
     OS << cast<LitTerm>(T)->value();
     return;
   case Term::TermKind::DLit:
-    OS << cast<DLitTerm>(T)->value() << "##";
+    OS << support::doubleText(cast<DLitTerm>(T)->value()) << "##";
     return;
   case Term::TermKind::Error:
     OS << "error";
@@ -61,7 +61,7 @@ void printTerm(std::ostringstream &OS, const Term *T, int Prec) {
     if (Prec > PrecApp)
       OS << "(";
     printTerm(OS, A->fn(), PrecApp);
-    OS << " " << A->lit() << "##";
+    OS << " " << support::doubleText(A->lit()) << "##";
     if (Prec > PrecApp)
       OS << ")";
     return;
@@ -191,7 +191,7 @@ void printTerm(std::ostringstream &OS, const Term *T, int Prec) {
         OS << A.IntVal;
         break;
       case MAlt::PatKind::Dbl:
-        OS << A.DblVal << "##";
+        OS << support::doubleText(A.DblVal) << "##";
         break;
       }
       OS << " -> ";

@@ -44,6 +44,7 @@
 #define LEVITY_MCALC_SYNTAX_H
 
 #include "support/Arena.h"
+#include "support/DoubleText.h"
 #include "support/Symbol.h"
 
 #include <atomic>
@@ -439,7 +440,7 @@ struct MAtom {
   std::string str() const {
     if (!IsLit)
       return Var.str();
-    return IsDbl ? std::to_string(DblLit) : std::to_string(Lit);
+    return IsDbl ? support::doubleText(DblLit) : std::to_string(Lit);
   }
 };
 

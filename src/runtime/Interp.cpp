@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Interp.h"
+#include "support/DoubleText.h"
 
 #include <limits>
 #include <sstream>
@@ -632,7 +633,7 @@ std::string Interp::show(const Value *V) {
     OS << V->I << "#";
     break;
   case Value::Tag::DoubleHash:
-    OS << V->D << "##";
+    OS << support::doubleText(V->D) << "##";
     break;
   case Value::Tag::Str:
     OS << "\"" << V->S.str() << "\"";

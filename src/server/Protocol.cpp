@@ -72,9 +72,9 @@ std::string server::formatRequest(const Request &R) {
       Out += " " + std::string(backendToken(*R.B));
     if (R.Fuel) {
       // Fuel without a backend would be ambiguous on the wire; pin the
-      // session default explicitly.
+      // server's default backend explicitly.
       if (!R.B)
-        Out += " machine";
+        Out += " bytecode";
       Out += " " + std::to_string(*R.Fuel);
     }
     Out += '\n';

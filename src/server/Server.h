@@ -92,8 +92,14 @@ struct TenantStats {
 /// Knobs for a Server (one struct so levityd flags map 1:1).
 struct ServerOptions {
   /// Session knobs: backend, fuel defaults, cache bounds, StorePath (the
-  /// L2 store) and its write-behind pool size (AsyncWorkers).
-  driver::CompileOptions Compile;
+  /// L2 store) and its write-behind pool size (AsyncWorkers). A RUN that
+  /// names no backend runs on the bytecode VM, the production engine;
+  /// with a store, that default also persists every global's bytecode.
+  driver::CompileOptions Compile = [] {
+    driver::CompileOptions O;
+    O.DefaultBackend = driver::Backend::Bytecode;
+    return O;
+  }();
   /// Admission cap: the maximum number of COMPILE/RUN requests admitted
   /// concurrently across every connection (queued or executing). Beyond
   /// it requests get an immediate typed BUSY response. 0 = unbounded.

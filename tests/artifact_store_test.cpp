@@ -16,7 +16,9 @@
 //     equal the corpus size in Session::Stats.
 //   * Robustness: corrupt, truncated, wrong-version, wrong-fingerprint,
 //     and wrong-source entries are all treated as misses and fall back
-//     to a clean recompile. Never a crash, never a wrong answer.
+//     to a clean recompile, and every re-sealed single-byte flip of an
+//     artifact either misses or hydrates into runs that end in a
+//     result. Never a crash, never a wrong answer.
 //   * Policy: write-behind completes at flushStoreWrites();
 //     MaxStoredArtifacts evicts oldest entries and counts them.
 //
@@ -348,6 +350,46 @@ TEST(ArtifactStoreTest, WrongSourceEntryFallsBackToRecompile) {
   fs::remove_all(Dir);
 }
 
+TEST(ArtifactStoreTest, EveryResealedByteFlipHydratesSafelyOrMisses) {
+  // Whole-artifact mutation: flip each byte (XOR 0x01/0x80/0xFF) and
+  // re-seal the checksum, so the corruption reaches the META, TYPE,
+  // MTRM and BCOD decoders instead of stopping at the trailer. Every
+  // mutant must be a miss (null) or a Compilation whose bytecode and
+  // machine runs, at small fuel, end in a RunResult.
+  const char *Src = "data L = N | C Int# L ;"
+                    "v = case C 1# N of { N -> 0# ; C y ys -> y }";
+  std::string Dir = freshStoreDir("mutate");
+  std::string Path = populateOne(Dir, Src, /*Bytecode=*/true);
+  std::string Bytes = *support::readFileBinary(Path);
+  fs::remove_all(Dir);
+  ASSERT_NE(findSectionPayload(Bytes, levc::SecBytecode), 0u)
+      << "the artifact must carry a BCOD section";
+
+  CompileOptions Opts;
+  Opts.MaxMachineSteps = 2000;
+  Opts.MaxVmSteps = 2000;
+  size_t Hydrated = 0;
+  for (size_t Off = 0; Off != Bytes.size() - 8; ++Off) {
+    for (uint8_t Flip : {0x01, 0x80, 0xFF}) {
+      std::string Mutant = patchAndReseal(
+          Bytes, Off, static_cast<uint8_t>(Bytes[Off]) ^ Flip, 1);
+      auto Comp = Compilation::deserializeArtifact(Mutant, Src, Opts);
+      if (!Comp)
+        continue;
+      ++Hydrated;
+      SCOPED_TRACE("offset " + std::to_string(Off) + " flip " +
+                   std::to_string(Flip));
+      for (Backend B : {Backend::Bytecode, Backend::AbstractMachine}) {
+        RunResult R = Comp->run("v", B);
+        EXPECT_TRUE(R.ok() || !R.Error.empty()) << "a failed run says why";
+      }
+    }
+  }
+  // Flips inside stage names, timings and type texts leave a runnable
+  // artifact, so some mutants must have reached the runs.
+  EXPECT_GT(Hydrated, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Policy: write-behind, flushing, eviction, stats
 //===----------------------------------------------------------------------===//
@@ -581,124 +623,12 @@ TEST(ArtifactStoreTest, HydratedMetadataSurvivesWithoutFrontEnd) {
   EXPECT_NE(Report.find("elaborate+check"), std::string::npos) << Report;
   EXPECT_NE(Report.find("hydrate"), std::string::npos) << Report;
 
-  // Unknown globals fail with a diagnostic, not a crash. (With a CORE
-  // section the hydrated compilation carries the program, so the
-  // message matches a fresh compile's.)
+  // Unknown globals fail with a diagnostic, not a crash, and without a
+  // front-end rebuild the message still matches a fresh compile's.
   RunResult R = Comp->run("nonexistent", Backend::AbstractMachine);
   EXPECT_EQ(R.St, RunResult::Status::Unsupported);
   EXPECT_NE(R.Error.find("no top-level binding named"), std::string::npos)
       << R.Error;
-  fs::remove_all(Dir);
-}
-
-TEST(ArtifactStoreTest, CoreSectionServesTreeRunsWithoutFrontEnd) {
-  // PR 5: the CORE section restores the elaborated program, so a cold
-  // process's *tree* runs skip lex/parse/elaborate too (PR-4 leftover).
-  std::string Dir = freshStoreDir("coresec");
-  Session Warm(storeOptions(Dir));
-  auto Orig = Warm.compile(RobustSrc);
-  ASSERT_TRUE(Orig->ok());
-  RunResult OrigTree = Orig->run("v", Backend::TreeInterp);
-  Warm.flushStoreWrites();
-
-  Session Cold(storeOptions(Dir));
-  auto Hyd = Cold.compile(RobustSrc);
-  ASSERT_TRUE(Hyd->ok());
-  ASSERT_TRUE(Hyd->hydrated());
-  ASSERT_TRUE(Hyd->hydratedCore())
-      << "the artifact must carry a CORE section for this program";
-  Session::Stats St = Cold.stats();
-  EXPECT_EQ(St.DiskHits, 1u);
-  EXPECT_EQ(St.Compilations, 0u);
-
-  // The program is available without any front-end rebuild, and the
-  // tree run agrees with the original.
-  ASSERT_NE(Hyd->program(), nullptr);
-  RunResult Tree = Hyd->run("v", Backend::TreeInterp);
-  expectSameRunResult(OrigTree, Tree, "tree run via CORE section");
-  EXPECT_EQ(Tree.IntValue.value_or(-1), 5050);
-  // Machine runs agree with tree runs on the hydrated compilation.
-  EXPECT_EQ(Hyd->run("v", Backend::AbstractMachine).IntValue.value_or(-2),
-            5050);
-  fs::remove_all(Dir);
-}
-
-TEST(ArtifactStoreTest, MalformedCoreSectionFallsBackToFrontEndRebuild) {
-  // A CORE section that passes the container checksum but fails the
-  // core decode must leave the hydrated context pristine: the M terms
-  // still serve machine runs, and the *lazy front-end rebuild* must
-  // still succeed for tree runs (a half-decoded CORE section must not
-  // leave duplicate tycons behind for the elaborator to trip over).
-  const char *Src =
-      "data IntList = Nil | Cons Int IntList ;"
-      "len :: IntList -> Int# ;"
-      "len xs = case xs of { Nil -> 0# ; Cons y ys -> 1# +# len ys } ;"
-      "v = len (Cons (I# 1#) Nil)";
-  std::string Dir = freshStoreDir("badcore");
-  std::string Path = populateOne(Dir, Src);
-
-  // Find the CORE section payload and corrupt its leading tycon count,
-  // then re-seal the trailer so only the core decode fails.
-  std::string Bytes = *support::readFileBinary(Path);
-  size_t Off = 28; // past magic/version/fingerprint/hash/section-count
-  size_t CoreOff = 0;
-  while (Off + 12 <= Bytes.size() - 8) {
-    uint32_t Id = 0;
-    uint64_t Len = 0;
-    for (int I = 0; I != 4; ++I)
-      Id |= uint32_t(uint8_t(Bytes[Off + I])) << (8 * I);
-    for (int I = 0; I != 8; ++I)
-      Len |= uint64_t(uint8_t(Bytes[Off + 4 + I])) << (8 * I);
-    if (Id == levc::SecCore) {
-      CoreOff = Off + 12;
-      break;
-    }
-    Off += 12 + Len;
-  }
-  ASSERT_NE(CoreOff, 0u) << "artifact must carry a CORE section";
-  ASSERT_TRUE(support::writeFileAtomic(
-      Path, patchAndReseal(Bytes, CoreOff, 0xFF, 1)));
-
-  Session S(storeOptions(Dir));
-  auto Comp = S.compile(Src);
-  ASSERT_TRUE(Comp->ok());
-  ASSERT_TRUE(Comp->hydrated());
-  EXPECT_FALSE(Comp->hydratedCore());
-  // Machine runs need no front end; tree runs trigger the rebuild,
-  // which must succeed in the unpolluted context.
-  EXPECT_EQ(Comp->run("v", Backend::AbstractMachine).IntValue.value_or(-1),
-            1);
-  EXPECT_EQ(Comp->run("v", Backend::TreeInterp).IntValue.value_or(-2), 1);
-  fs::remove_all(Dir);
-}
-
-TEST(ArtifactStoreTest, CoreSectionRestoresUserDataTypes) {
-  // ADT programs round-trip the CORE section: user tycons/datacons are
-  // recreated in the hydrated context and the tree interpreter runs
-  // them without a front end.
-  const char *Src =
-      "data IntList = Nil | Cons Int IntList ;"
-      "sumList :: IntList -> Int# ;"
-      "sumList xs = case xs of {"
-      "  Nil -> 0# ;"
-      "  Cons y ys -> case y of { I# n -> n +# sumList ys }"
-      "} ;"
-      "v = sumList (Cons (I# 1#) (Cons (I# 2#) (Cons (I# 3#) Nil)))";
-  std::string Dir = freshStoreDir("coreadt");
-  {
-    Session Warm(storeOptions(Dir));
-    ASSERT_TRUE(Warm.compile(Src)->ok());
-    Warm.flushStoreWrites();
-  }
-  Session Cold(storeOptions(Dir));
-  auto Hyd = Cold.compile(Src);
-  ASSERT_TRUE(Hyd->ok());
-  ASSERT_TRUE(Hyd->hydrated());
-  ASSERT_TRUE(Hyd->hydratedCore());
-  EXPECT_EQ(Cold.stats().Compilations, 0u);
-  EXPECT_EQ(Hyd->run("v", Backend::TreeInterp).IntValue.value_or(-1), 6);
-  EXPECT_EQ(Hyd->run("v", Backend::AbstractMachine).IntValue.value_or(-2),
-            6);
   fs::remove_all(Dir);
 }
 

@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -180,6 +182,33 @@ TEST(DriverTest, BackendsAgreeOnDoubleProgram) {
   ASSERT_TRUE(Mach.ok()) << Mach.Error;
   EXPECT_DOUBLE_EQ(Tree.DoubleValue.value_or(-1), 21.5);
   EXPECT_DOUBLE_EQ(Mach.DoubleValue.value_or(-1), 21.5);
+}
+
+TEST(DriverTest, DoubleDisplayIsShortestRoundTripOnEveryBackend) {
+  // Every backend prints a Double# as its shortest round-trip text: no
+  // six-digit rounding, no fixed-point "0.000000".
+  Session S;
+  auto Comp = S.compile("tiny = 0.0000001## ;"
+                        "third = 1.0## /## 3.0##");
+  ASSERT_TRUE(Comp->ok()) << Comp->diagText();
+  for (Backend B :
+       {Backend::TreeInterp, Backend::AbstractMachine, Backend::Bytecode}) {
+    SCOPED_TRACE(std::string(backendName(B)));
+    RunResult Tiny = Comp->run("tiny", B);
+    ASSERT_TRUE(Tiny.ok()) << Tiny.Error;
+    EXPECT_EQ(Tiny.Used, B);
+    EXPECT_EQ(Tiny.Display, "1e-07##");
+
+    RunResult Third = Comp->run("third", B);
+    ASSERT_TRUE(Third.ok()) << Third.Error;
+    ASSERT_TRUE(Third.DoubleValue.has_value());
+    const std::string &D = Third.Display;
+    ASSERT_GT(D.size(), 2u);
+    ASSERT_EQ(D.substr(D.size() - 2), "##") << D;
+    EXPECT_EQ(std::strtod(D.substr(0, D.size() - 2).c_str(), nullptr),
+              *Third.DoubleValue)
+        << D;
+  }
 }
 
 TEST(DriverTest, BackendsAgreeOnRecursiveLoop) {

@@ -29,9 +29,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <thread>
 
@@ -144,9 +146,9 @@ TEST(ProtocolTest, RequestRoundTripsEveryKind) {
 
 TEST(ProtocolTest, FuelWithoutBackendPinsTheWireBackend) {
   // formatRequest must not emit an ambiguous "RUN t n 500": fuel with no
-  // backend pins "machine" explicitly.
+  // backend pins the server default, "bytecode", explicitly.
   std::string Wire = formatRequest(runReq("t", "n", std::nullopt, 500));
-  EXPECT_EQ(Wire, "LEVP/1 RUN t n machine 500\n");
+  EXPECT_EQ(Wire, "LEVP/1 RUN t n bytecode 500\n");
 }
 
 TEST(ProtocolTest, ResponseRoundTrips) {
@@ -301,6 +303,79 @@ TEST(ProtocolTest, MalformedFrameNeverStallsFollowingFrames) {
   std::optional<Result<Request>> G = Reader.next();
   ASSERT_TRUE(G.has_value());
   EXPECT_TRUE(G->ok());
+}
+
+TEST(ProtocolTest, MutatedAndTruncatedFramesNeverDesyncTheReader) {
+  // Byte-level mutation of every request kind: each offset x 3 flips and
+  // every truncation, fed in seeded random chunk sizes. The reader may
+  // yield only Requests, coded BADREQ errors or nullopt, and a good
+  // frame appended afterwards must still parse. A damaged COMPILE can
+  // leave the reader waiting for its payload (at most 11 bytes here: a
+  // flip can only shrink the length "11") plus the terminator, so the
+  // good frame follows a longer run of newlines; each stray empty line
+  // is one bad-frame error.
+  std::vector<std::string> Frames = {
+      formatRequest(compileReq("alice", "prog", "answer = 1#")),
+      formatRequest(runReq("alice", "prog", Backend::Bytecode, 500))};
+  for (Request::Kind K :
+       {Request::Kind::Stats, Request::Kind::Evict, Request::Kind::Shutdown}) {
+    Request R;
+    R.K = K;
+    R.Tenant = "alice";
+    R.EvictMaxEntries = 4;
+    R.EvictMaxBytes = 1 << 20;
+    Frames.push_back(formatRequest(R));
+  }
+  const std::string Resync(16, '\n');
+  const std::string Good = formatRequest(runReq("z", "good"));
+  const std::vector<std::string> Codes = {
+      "bad-version", "unknown-command", "bad-tenant", "bad-name",
+      "bad-arg",     "bad-length",      "bad-frame",  "payload-too-large"};
+  std::mt19937 Rng(2017);
+
+  auto Check = [&](const std::string &Mutant) {
+    SCOPED_TRACE(Mutant);
+    std::string Wire = Mutant + Resync + Good;
+    FrameReader Reader;
+    std::optional<Request> Last;
+    size_t Items = 0;
+    for (size_t Pos = 0; Pos < Wire.size();) {
+      size_t N = std::min<size_t>(Wire.size() - Pos, 1 + Rng() % 16);
+      Reader.append(std::string_view(Wire).substr(Pos, N));
+      Pos += N;
+      while (std::optional<Result<Request>> F = Reader.next()) {
+        // Every item consumes at least one byte; more means a stall.
+        ASSERT_LE(++Items, Wire.size()) << "the reader stopped consuming";
+        if (F->ok()) {
+          Last = **F;
+          continue;
+        }
+        Last.reset();
+        std::string Code = F->error().substr(0, F->error().find(':'));
+        EXPECT_NE(std::find(Codes.begin(), Codes.end(), Code), Codes.end())
+            << F->error();
+      }
+    }
+    ASSERT_TRUE(Last.has_value()) << "the good frame did not parse last";
+    EXPECT_EQ(Last->K, Request::Kind::Run);
+    EXPECT_EQ(Last->Tenant, "z");
+    EXPECT_EQ(Last->Name, "good");
+  };
+
+  for (const std::string &Frame : Frames) {
+    FrameReader Clean;
+    Clean.append(Frame);
+    std::optional<Result<Request>> F = Clean.next();
+    ASSERT_TRUE(F.has_value() && F->ok()) << Frame;
+    for (size_t Off = 0; Off != Frame.size(); ++Off) {
+      for (uint8_t Flip : {0x01, 0x80, 0xFF}) {
+        std::string Mutant = Frame;
+        Mutant[Off] = static_cast<char>(Mutant[Off] ^ Flip);
+        Check(Mutant);
+      }
+      Check(Frame.substr(0, Off));
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -627,7 +702,7 @@ TEST(ServerSocketTest, SocketClientsCompileRunAndShutDown) {
     EXPECT_EQ((*B)[0].St, Response::Status::Bye);
   }
   S.waitForShutdown();
-  EXPECT_EQ(S.tenantStats("alice").RunsTree, 2u);
+  EXPECT_EQ(S.tenantStats("alice").RunsBytecode, 2u);
 }
 
 //===----------------------------------------------------------------------===//
