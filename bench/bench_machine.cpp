@@ -138,7 +138,7 @@ void BM_BytecodeSteps(benchmark::State &State) {
   for (auto _ : State) {
     bytecode::VmResult R = Vm.run(**Mod, uint64_t(1) << 40);
     Steps += R.Stats.Steps;
-    benchmark::DoNotOptimize(R.IntValue);
+    benchmark::DoNotOptimize(R.Final.I);
   }
   State.counters["vm-steps/s"] =
       benchmark::Counter(double(Steps), benchmark::Counter::kIsRate);
@@ -163,7 +163,7 @@ void BM_BytecodeSharedThunk(benchmark::State &State) {
   for (auto _ : State) {
     bytecode::VmResult R = Vm.run(**Mod, uint64_t(1) << 40);
     Evals = R.Stats.ThunkEvals;
-    benchmark::DoNotOptimize(R.IntValue);
+    benchmark::DoNotOptimize(R.Final.I);
   }
   State.counters["thunk-evals"] = double(Evals); // expect 1, not Uses
 }
@@ -179,7 +179,7 @@ void BM_BytecodeStrictBeta(benchmark::State &State) {
   bytecode::Vm Vm;
   for (auto _ : State) {
     bytecode::VmResult R = Vm.run(**Mod, uint64_t(1) << 40);
-    benchmark::DoNotOptimize(R.IntValue);
+    benchmark::DoNotOptimize(R.Final.I);
   }
 }
 

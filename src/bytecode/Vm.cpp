@@ -33,7 +33,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/Vm.h"
-#include "support/DoubleText.h"
 
 #include <limits>
 
@@ -79,40 +78,6 @@ const char *ccMismatchMsg(uint8_t ArgKind) {
            "non-double-register parameter";
   }
   return "calling-convention mismatch";
-}
-
-/// Renders a WHNF slot for RunResult::Display (shallow, like the
-/// machine's Term::str() on the final value).
-std::string renderValue(Slot V) {
-  while (V.isPtr() && V.P->Kind == Obj::K::Ind)
-    V = V.P->Val;
-  if (V.isInt())
-    return std::to_string(V.I);
-  if (V.isDbl())
-    return support::doubleText(V.D) + "##";
-  const Obj *O = V.P;
-  if (O->Kind == Obj::K::Closure || O->Kind == Obj::K::Pap)
-    return "<closure>";
-  if (O->Kind == Obj::K::Con) {
-    if (O->IsBox)
-      return "I#[" + std::to_string(O->Fields[0].I) + "]";
-    std::string S = "CON " + std::to_string(O->Tag) + " [";
-    for (size_t J = 0; J != O->Fields.size(); ++J) {
-      if (J)
-        S += ", ";
-      Slot F = O->Fields[J];
-      while (F.isPtr() && F.P->Kind == Obj::K::Ind)
-        F = F.P->Val;
-      if (F.isInt())
-        S += std::to_string(F.I);
-      else if (F.isDbl())
-        S += support::doubleText(F.D);
-      else
-        S += "•";
-    }
-    return S + "]";
-  }
-  return "<opaque>";
 }
 
 } // namespace
@@ -778,17 +743,9 @@ FuelOut:
   R.Out = VmResult::Outcome::OutOfFuel;
   goto Done;
 
-Finished : {
+Finished:
   R.Out = VmResult::Outcome::Value;
-  Slot V = deref(Opers.back());
-  R.Display = renderValue(V);
-  if (V.isInt())
-    R.IntValue = V.I;
-  else if (V.isDbl())
-    R.DoubleValue = V.D;
-  else if (V.P->Kind == Obj::K::Con && V.P->IsBox)
-    R.IntValue = V.P->Fields[0].I;
-}
+  R.Final = deref(Opers.back());
 
 Done:
   // Abnormal exits (stuck, bottom, out of fuel) abandon the frame stack

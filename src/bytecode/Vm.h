@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -125,9 +124,9 @@ struct VmResult {
   Outcome Out = Outcome::Stuck;
   std::string ErrorMessage; ///< Bottom's message ("" for bare error).
   std::string StuckReason;  ///< Why execution got stuck.
-  std::string Display;      ///< Rendering of the final value.
-  std::optional<int64_t> IntValue;  ///< n or I#[n] results.
-  std::optional<double> DoubleValue; ///< d results.
+  /// The final value (Outcome::Value). A pointer slot points into this
+  /// Vm's heap, so it is valid until the Vm's next run.
+  Slot Final;
   VmStats Stats;
 
   bool ok() const { return Out == Outcome::Value; }

@@ -6,8 +6,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Executor.h"
+#include "support/DoubleText.h"
 #include "support/Timing.h"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 
 using namespace levity;
@@ -16,62 +19,221 @@ using support::millisSince;
 
 namespace {
 
-/// Converts a finished machine run into the facade result shape.
-void fillFromMachine(RunResult &R, const mcalc::MachineResult &MR) {
-  R.Machine = MR.Stats;
-  switch (MR.Status) {
-  case mcalc::MachineOutcome::Value:
-    R.St = RunResult::Status::Ok;
-    R.Display = MR.Value->str();
-    if (const auto *Lit = mcalc::dyn_cast<mcalc::LitTerm>(MR.Value))
-      R.IntValue = Lit->value();
-    else if (const auto *Con = mcalc::dyn_cast<mcalc::ConLitTerm>(MR.Value))
-      R.IntValue = Con->value();
-    else if (const auto *DLit = mcalc::dyn_cast<mcalc::DLitTerm>(MR.Value))
-      R.DoubleValue = DLit->value();
-    break;
-  case mcalc::MachineOutcome::Bottom:
-    R.St = RunResult::Status::Bottom;
-    R.Error =
-        MR.ErrorMessage.empty() ? "error (ERR rule)" : MR.ErrorMessage;
-    break;
-  case mcalc::MachineOutcome::Stuck:
-    R.St = RunResult::Status::RuntimeError;
-    R.Error = "machine stuck: " + MR.StuckReason;
-    break;
-  case mcalc::MachineOutcome::OutOfFuel:
-    R.St = RunResult::Status::OutOfFuel;
-    R.Error = "out of fuel";
-    break;
-  }
+//===----------------------------------------------------------------------===//
+// The one answer printer and its readers
+//===----------------------------------------------------------------------===//
+//
+// Every run ends in one answer, printed in surface syntax: an Int#
+// (`42#`), a Double# (`2.5##`), a constructor with its fields (`I# 42#`,
+// `MkAcc 3# 2.5##`, `Cons _ _`, `Green`), or `<closure>`. Fields are read
+// by rep at depth one and never forced (§4: only a lifted field can point
+// to a thunk), so every lifted field prints `_`. One reader per backend
+// sets RunResult::Display, and IntValue (Int#, I#) or DoubleValue
+// (Double#), while the final value is live: before Interp::endRunEpoch,
+// the run context's reset, or the Vm's next run. M and bytecode values
+// carry only a constructor's tag; the name comes from the type of the
+// global that ran, or from the formal term's type.
+
+/// A run's final value, or a constructor's field (Int, Double or Lifted).
+struct Answer {
+  enum class Kind : uint8_t { Int, Double, Lifted, Con, Closure };
+  Kind K = Kind::Closure;
+  int64_t I = 0;
+  double D = 0;
+  std::string Con{}; ///< Empty while only Tag is known.
+  uint32_t Tag = 0;
+  std::vector<Answer> Fields{};
+};
+
+Answer ofInt(int64_t I) { return {.K = Answer::Kind::Int, .I = I}; }
+Answer ofDouble(double D) { return {.K = Answer::Kind::Double, .D = D}; }
+Answer lifted() { return {.K = Answer::Kind::Lifted}; }
+Answer ofCon(std::string_view Name) {
+  return {.K = Answer::Kind::Con, .Con = std::string(Name)};
+}
+Answer intBox(int64_t I) {
+  return {.K = Answer::Kind::Con, .Con = "I#", .Fields = {ofInt(I)}};
 }
 
-/// Converts a finished bytecode-VM run into the facade result shape,
-/// mirroring fillFromMachine (same Status mapping, same bare-error
-/// message, a "bytecode vm stuck:" prefix naming the executing tier).
-void fillFromVm(RunResult &R, const bytecode::VmResult &VR) {
-  R.Vm = VR.Stats;
-  switch (VR.Out) {
-  case bytecode::VmResult::Outcome::Value:
+/// The one printer.
+std::string print(const Answer &A) {
+  char Buf[24];
+  if (A.K == Answer::Kind::Int)
+    return std::string(Buf, std::to_chars(Buf, Buf + sizeof(Buf), A.I).ptr) +
+           '#';
+  if (A.K == Answer::Kind::Double)
+    return support::doubleText(A.D) + "##";
+  if (A.K == Answer::Kind::Lifted)
+    return "_";
+  if (A.K == Answer::Kind::Closure)
+    return "<closure>";
+  std::string S = A.Con;
+  for (const Answer &F : A.Fields) {
+    S += ' ';
+    S += print(F);
+  }
+  return S;
+}
+
+/// Fills R from \p A, naming a constructor known only by its tag from the
+/// run's result type (tags follow declaration order, as in CoreToL).
+void set(RunResult &R, Answer A, const Compilation *Comp = nullptr,
+         std::string_view Global = {}) {
+  if (A.K == Answer::Kind::Con && A.Con.empty()) {
+    if (!Comp->formalTerm()) {
+      const core::Type *T = Comp->globalType(Global);
+      while (T && core::isa<core::ForAllType>(T))
+        T = core::cast<core::ForAllType>(T)->body();
+      while (T && core::isa<core::AppType>(T))
+        T = core::cast<core::AppType>(T)->fn();
+      const auto *C = T ? core::dyn_cast<core::ConType>(T) : nullptr;
+      if (C && A.Tag < C->tycon()->dataCons().size())
+        A.Con = C->tycon()->dataCons()[A.Tag]->name().str();
+    } else if (Result<const lcalc::Type *> T = Comp->formalType()) {
+      const auto *D = lcalc::dyn_cast<lcalc::DataType>(*T);
+      if (D && A.Tag < D->decl()->numCons())
+        A.Con = D->decl()->con(A.Tag).Name.str();
+    }
+    if (A.Con.empty())
+      A.Con = "<con " + std::to_string(A.Tag) + ">";
+  }
+  R.Display = print(A);
+  if (A.K == Answer::Kind::Int)
+    R.IntValue = A.I;
+  else if (A.K == Answer::Kind::Double)
+    R.DoubleValue = A.D;
+  else if (A.Con == "I#" && A.Fields.size() == 1 &&
+           A.Fields[0].K == Answer::Kind::Int)
+    R.IntValue = A.Fields[0].I;
+}
+
+void answerTree(RunResult &R, const runtime::Value *V) {
+  using Tag = runtime::Value::Tag;
+  Answer A;
+  if (V->T == Tag::IntHash)
+    A = ofInt(V->I);
+  else if (V->T == Tag::DoubleHash)
+    A = ofDouble(V->D);
+  else if (V->T == Tag::Con)
+    A = ofCon(V->DC->name().str());
+  // Tree-only strings and unboxed tuples read as constructors named by
+  // their surface syntax.
+  else if (V->T == Tag::Str)
+    A = ofCon(std::string("\"").append(V->S.str()).append("\""));
+  else if (V->T == Tag::Tuple)
+    A = ofCon(std::string("(#")
+                  .append(std::max<size_t>(V->Fields.size(), 2) - 1, ',')
+                  .append("#)"));
+  if (A.K == Answer::Kind::Con)
+    for (const runtime::Value *F : V->Fields)
+      A.Fields.push_back(F->T == Tag::IntHash      ? ofInt(F->I)
+                         : F->T == Tag::DoubleHash ? ofDouble(F->D)
+                                                   : lifted());
+  set(R, std::move(A));
+}
+
+void answerMachine(RunResult &R, const mcalc::Term *V, const Compilation &Comp,
+                   std::string_view Global) {
+  Answer A;
+  if (const auto *Lit = mcalc::dyn_cast<mcalc::LitTerm>(V))
+    A = ofInt(Lit->value());
+  else if (const auto *DLit = mcalc::dyn_cast<mcalc::DLitTerm>(V))
+    A = ofDouble(DLit->value());
+  else if (const auto *Box = mcalc::dyn_cast<mcalc::ConLitTerm>(V))
+    A = intBox(Box->value());
+  else if (const auto *C = mcalc::dyn_cast<mcalc::ConTerm>(V)) {
+    A = {.K = Answer::Kind::Con, .Tag = C->tag()};
+    for (const mcalc::MAtom &F : C->args())
+      A.Fields.push_back(!F.IsLit  ? lifted()
+                         : F.IsDbl ? ofDouble(F.DblLit)
+                                   : ofInt(F.Lit));
+  }
+  set(R, std::move(A), &Comp, Global);
+}
+
+void answerVm(RunResult &R, bytecode::Slot V, const Compilation &Comp,
+              std::string_view Global) {
+  Answer A;
+  if (V.isInt())
+    A = ofInt(V.I);
+  else if (V.isDbl())
+    A = ofDouble(V.D);
+  else if (V.P->Kind == bytecode::Obj::K::Con) {
+    A = {.K = Answer::Kind::Con, .Con = V.P->IsBox ? "I#" : "",
+         .Tag = V.P->Tag};
+    for (bytecode::Slot F : V.P->Fields)
+      A.Fields.push_back(F.isInt()   ? ofInt(F.I)
+                         : F.isDbl() ? ofDouble(F.D)
+                                     : lifted());
+  }
+  set(R, std::move(A), &Comp, Global);
+}
+
+void answerFormal(RunResult &R, const lcalc::Expr *V) {
+  // Type and rep abstraction are erased at run time (§4.3).
+  while (lcalc::isa<lcalc::TyLamExpr>(V) || lcalc::isa<lcalc::RepLamExpr>(V))
+    V = lcalc::isa<lcalc::TyLamExpr>(V)
+            ? lcalc::cast<lcalc::TyLamExpr>(V)->body()
+            : lcalc::cast<lcalc::RepLamExpr>(V)->body();
+  Answer A;
+  if (const auto *Lit = lcalc::dyn_cast<lcalc::IntLitExpr>(V))
+    A = ofInt(Lit->value());
+  else if (const auto *DLit = lcalc::dyn_cast<lcalc::DoubleLitExpr>(V))
+    A = ofDouble(DLit->value());
+  else if (const auto *C = lcalc::dyn_cast<lcalc::ConExpr>(V)) {
+    const lcalc::LDataCon &DC = C->decl()->con(C->tag());
+    A = ofCon(DC.Name.str());
+    for (size_t J = 0; J != C->args().size(); ++J)
+      A.Fields.push_back(
+          DC.FieldReps[J] == lcalc::ConcreteRep::I
+              ? ofInt(lcalc::cast<lcalc::IntLitExpr>(C->args()[J])->value())
+          : DC.FieldReps[J] == lcalc::ConcreteRep::D
+              ? ofDouble(
+                    lcalc::cast<lcalc::DoubleLitExpr>(C->args()[J])->value())
+              : lifted());
+  }
+  set(R, std::move(A));
+}
+
+/// Maps a finished machine or bytecode-VM run's outcome onto the facade
+/// (\p Tier prefixes a stuck reason). True on a value.
+template <typename Outcome>
+bool fillStatus(RunResult &R, Outcome O, const std::string &Error,
+                const char *Tier, const std::string &Stuck) {
+  switch (O) {
+  case Outcome::Value:
     R.St = RunResult::Status::Ok;
-    R.Display = VR.Display;
-    R.IntValue = VR.IntValue;
-    R.DoubleValue = VR.DoubleValue;
-    break;
-  case bytecode::VmResult::Outcome::Bottom:
+    return true;
+  case Outcome::Bottom:
     R.St = RunResult::Status::Bottom;
-    R.Error =
-        VR.ErrorMessage.empty() ? "error (ERR rule)" : VR.ErrorMessage;
+    R.Error = Error.empty() ? "error (ERR rule)" : Error;
     break;
-  case bytecode::VmResult::Outcome::Stuck:
+  case Outcome::Stuck:
     R.St = RunResult::Status::RuntimeError;
-    R.Error = "bytecode vm stuck: " + VR.StuckReason;
+    R.Error = Tier + Stuck;
     break;
-  case bytecode::VmResult::Outcome::OutOfFuel:
+  case Outcome::OutOfFuel:
     R.St = RunResult::Status::OutOfFuel;
     R.Error = "out of fuel";
     break;
   }
+  return false;
+}
+
+void fillFromMachine(RunResult &R, const mcalc::MachineResult &MR,
+                     const Compilation &Comp, std::string_view Global) {
+  R.Machine = MR.Stats;
+  if (fillStatus(R, MR.Status, MR.ErrorMessage, "machine stuck: ",
+                 MR.StuckReason))
+    answerMachine(R, MR.Value, Comp, Global);
+}
+
+void fillFromVm(RunResult &R, const bytecode::VmResult &VR,
+                const Compilation &Comp, std::string_view Global) {
+  R.Vm = VR.Stats;
+  if (fillStatus(R, VR.Out, VR.ErrorMessage, "bytecode vm stuck: ",
+                 VR.StuckReason))
+    answerVm(R, VR.Final, Comp, Global);
 }
 
 } // namespace
@@ -141,17 +303,10 @@ RunResult Executor::runTree(std::string_view Name) {
   R.Interp = IR.Stats;
 
   switch (IR.Status) {
-  case runtime::InterpStatus::Value: {
+  case runtime::InterpStatus::Value:
     R.St = RunResult::Status::Ok;
-    R.Display = interp().show(IR.V);
-    if (auto I = runtime::Interp::asIntHash(IR.V))
-      R.IntValue = *I;
-    else if (auto B = interp().asBoxedInt(IR.V))
-      R.IntValue = *B;
-    if (auto D = runtime::Interp::asDoubleHash(IR.V))
-      R.DoubleValue = *D;
+    answerTree(R, IR.V);
     break;
-  }
   case runtime::InterpStatus::Bottom:
     R.St = RunResult::Status::Bottom;
     R.Error = IR.Message;
@@ -165,8 +320,7 @@ RunResult Executor::runTree(std::string_view Name) {
     R.Error = "out of fuel";
     break;
   }
-  // Everything the caller sees (Display, scalars, message) has been
-  // copied into R; the run's pool cells can go.
+  // The answer was read into R; the run's pool cells can go.
   I.endRunEpoch(Mark);
   return R;
 }
@@ -200,7 +354,7 @@ RunResult Executor::runMachine(std::string_view Name) {
   mcalc::Machine M(runContext());
   mcalc::MachineResult MR = M.run(*T, Opts.MaxMachineSteps);
   R.Millis = millisSince(Start);
-  fillFromMachine(R, MR);
+  fillFromMachine(R, MR, *Comp, Name);
   return R;
 }
 
@@ -239,7 +393,7 @@ RunResult Executor::runBytecode(std::string_view Name) {
   RunResult R;
   R.Used = Backend::Bytecode;
   R.Millis = millisSince(Start);
-  fillFromVm(R, VR);
+  fillFromVm(R, VR, *Comp, Name);
   return R;
 }
 
@@ -312,19 +466,7 @@ RunResult Executor::runFormal(Backend B) {
     switch (LR.Final) {
     case lcalc::StepStatus::Value:
       R.St = RunResult::Status::Ok;
-      R.Display = LR.Last->str();
-      if (const auto *Lit = lcalc::dyn_cast<lcalc::IntLitExpr>(LR.Last))
-        R.IntValue = Lit->value();
-      else if (const auto *DLit =
-                   lcalc::dyn_cast<lcalc::DoubleLitExpr>(LR.Last))
-        R.DoubleValue = DLit->value();
-      else if (const auto *Con = lcalc::dyn_cast<lcalc::ConExpr>(LR.Last))
-        // Only the unary Int box carries a scalar; other constructor
-        // values (nullary or n-ary) have no IntValue.
-        if (Con->args().size() == 1)
-          if (const auto *Payload =
-                  lcalc::dyn_cast<lcalc::IntLitExpr>(Con->args()[0]))
-            R.IntValue = Payload->value();
+      answerFormal(R, LR.Last);
       break;
     case lcalc::StepStatus::Bottom:
       R.St = RunResult::Status::Bottom;
@@ -356,7 +498,7 @@ RunResult Executor::runFormal(Backend B) {
       auto Start = std::chrono::steady_clock::now();
       bytecode::VmResult VR = vm().run(**Mod, Opts.MaxVmSteps);
       R.Millis = millisSince(Start);
-      fillFromVm(R, VR);
+      fillFromVm(R, VR, *Comp, {});
       return R;
     }
     // Out of the bytecode fragment: fall back to the machine (below),
@@ -368,6 +510,6 @@ RunResult Executor::runFormal(Backend B) {
   auto Start = std::chrono::steady_clock::now();
   mcalc::MachineResult MR = M.run(*MTerm, Opts.MaxMachineSteps);
   R.Millis = millisSince(Start);
-  fillFromMachine(R, MR);
+  fillFromMachine(R, MR, *Comp, {});
   return R;
 }

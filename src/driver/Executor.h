@@ -128,8 +128,7 @@ private:
   /// growing the shared arena forever. Restarting the name counter is
   /// sound because Symbol identity is per-table: a run-minted "p0" can
   /// never collide with a compiled term's "p0" (different SymbolTables).
-  /// Everything a run result outlives the reset by (Display text,
-  /// scalars) is copied out of MachineResult before the next run.
+  /// A run's answer is read (driver/Answer.h) before the next reset.
   mcalc::MContext &runContext();
 
   std::shared_ptr<const Compilation> Comp;

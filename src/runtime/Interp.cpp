@@ -6,10 +6,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Interp.h"
-#include "support/DoubleText.h"
 
 #include <limits>
-#include <sstream>
 
 using namespace levity;
 using namespace levity::runtime;
@@ -54,35 +52,6 @@ const std::vector<bool> &Interp::fieldStrictness(const DataCon *DC) {
     Strict.push_back(Unlifted);
   }
   return StrictCache.emplace(DC, std::move(Strict)).first->second;
-}
-
-Value *Interp::force(Value *V, InterpStats &S) {
-  // Nested thunk chains are forced one link at a time; each link's body
-  // runs on the iterative engine, so chain depth never consumes C++
-  // stack. Used by display/inspection paths (show, asBoxedInt callers).
-  while (V && V->T == Value::Tag::Thunk) {
-    if (V->Forced) {
-      V = V->Forced;
-      continue;
-    }
-    if (V->BlackHole) {
-      FailStatus = InterpStatus::RuntimeError;
-      FailMessage = "<<loop>>";
-      return nullptr;
-    }
-    V->BlackHole = true;
-    ++S.ThunkForces;
-    Value *Result = evalIn(V->Suspended, V->SuspendedEnv, S);
-    if (!Result) {
-      V->BlackHole = false; // Leave the thunk retryable (see evalIn).
-      return nullptr;
-    }
-    noteUpdate(V, Result);
-    V->Forced = Result;
-    V->BlackHole = false;
-    V = Result;
-  }
-  return V;
 }
 
 InterpResult Interp::eval(const Expr *E, uint64_t MaxSteps) {
@@ -244,7 +213,8 @@ Value *Interp::evalIn(const Expr *E, const EnvNode *Env, InterpStats &S) {
       Stack.pop_back();
       switch (F.Kind) {
       case Frame::K::Update:
-        noteUpdate(F.V, Ret);
+        // An old→new pointer write promotes the epoch (beginRunEpoch).
+        EpochPromoted |= F.V->Epoch != CurEpoch && Ret->Epoch == CurEpoch;
         F.V->Forced = Ret;
         F.V->BlackHole = false;
         continue; // Keep returning the same value.
@@ -591,80 +561,4 @@ Value *Interp::execPrim(const core::PrimOpExpr *P, Value *A0, Value *A1,
   FailStatus = InterpStatus::RuntimeError;
   FailMessage = "unknown primop";
   return nullptr;
-}
-
-std::optional<int64_t> Interp::asIntHash(const Value *V) {
-  if (V && V->T == Value::Tag::IntHash)
-    return V->I;
-  return std::nullopt;
-}
-
-std::optional<double> Interp::asDoubleHash(const Value *V) {
-  if (V && V->T == Value::Tag::DoubleHash)
-    return V->D;
-  return std::nullopt;
-}
-
-std::optional<int64_t> Interp::asBoxedInt(const Value *V) {
-  if (!V || V->T != Value::Tag::Con || V->Fields.size() != 1)
-    return std::nullopt;
-  const Value *F = V->Fields[0];
-  if (F->T == Value::Tag::IntHash)
-    return F->I;
-  return std::nullopt;
-}
-
-std::optional<bool> Interp::asBool(const Value *V) {
-  if (!V || V->T != Value::Tag::Con)
-    return std::nullopt;
-  if (V->DC == C.trueCon())
-    return true;
-  if (V->DC == C.falseCon())
-    return false;
-  return std::nullopt;
-}
-
-std::string Interp::show(const Value *V) {
-  if (!V)
-    return "<error>";
-  std::ostringstream OS;
-  switch (V->T) {
-  case Value::Tag::IntHash:
-    OS << V->I << "#";
-    break;
-  case Value::Tag::DoubleHash:
-    OS << support::doubleText(V->D) << "##";
-    break;
-  case Value::Tag::Str:
-    OS << "\"" << V->S.str() << "\"";
-    break;
-  case Value::Tag::Con: {
-    OS << V->DC->name().str();
-    for (Value *F : V->Fields) {
-      InterpStats Dummy;
-      Value *Forced = force(F, Dummy);
-      OS << " " << (Forced ? show(Forced) : "<bottom>");
-    }
-    break;
-  }
-  case Value::Tag::Closure:
-    OS << "<closure>";
-    break;
-  case Value::Tag::Tuple: {
-    OS << "(#";
-    bool First = true;
-    for (Value *F : V->Fields) {
-      if (!First)
-        OS << ",";
-      First = false;
-      OS << " " << show(F);
-    }
-    OS << " #)";
-    break;
-  }
-  case Value::Tag::Thunk:
-    OS << "<thunk>";
-    break;
-  }
-  return OS.str();
 }

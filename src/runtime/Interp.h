@@ -39,7 +39,6 @@
 #include "core/TypeCheck.h"
 
 #include <deque>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -158,10 +157,10 @@ public:
   // nothing, so long-lived Executors plateau instead of growing per run.
   //
   // Safety: the only old→new pointer writes the evaluator performs are
-  // thunk updates (Value::Forced); both update sites flag the promotion.
-  // Caller contract: everything reachable from the run's InterpResult
-  // (display strings, scalars) must be extracted before endRunEpoch —
-  // truncation invalidates the run's Value pointers.
+  // thunk updates (Value::Forced); the one update site, the evaluator's
+  // Update frame, flags the promotion. Caller contract: the run's answer
+  // must be read before endRunEpoch — truncation invalidates the run's
+  // Value pointers.
 
   /// Pool high-water marks at beginRunEpoch time (opaque to callers).
   struct RunEpochMark {
@@ -187,15 +186,6 @@ public:
 
   /// Cells (Values + EnvNodes) currently held by the pools.
   size_t liveCells() const { return Pool.size() + EnvPool.size(); }
-
-  /// Convenience accessors for test/bench assertions.
-  static std::optional<int64_t> asIntHash(const Value *V);
-  static std::optional<double> asDoubleHash(const Value *V);
-  /// Reads a boxed Int (forces the I# field if needed — fields of I# are
-  /// unlifted so they are already values).
-  std::optional<int64_t> asBoxedInt(const Value *V);
-  std::optional<bool> asBool(const Value *V);
-  std::string show(const Value *V);
 
 private:
   Value *newValue() {
@@ -229,8 +219,6 @@ private:
   /// The iterative evaluator; returns nullptr on Bottom/RuntimeError with
   /// Fail* set. Constant C++ stack depth regardless of program shape.
   Value *evalIn(const core::Expr *E, const EnvNode *Env, InterpStats &S);
-  /// Forces \p V to WHNF (iteratively). Used by show()/display paths.
-  Value *force(Value *V, InterpStats &S);
   /// Executes one primop on already-evaluated arguments.
   Value *execPrim(const core::PrimOpExpr *P, Value *A0, Value *A1,
                   InterpStats &S);
@@ -252,13 +240,6 @@ private:
   /// Set when this epoch wrote an old→new pointer (first-force thunk
   /// update on a pre-epoch value): endRunEpoch must keep the region.
   bool EpochPromoted = false;
-
-  /// Flags the epoch promoted when a thunk update stores a this-epoch
-  /// result into a pre-epoch value. Called at both update sites.
-  void noteUpdate(const Value *Target, const Value *Result) {
-    if (Target->Epoch != CurEpoch && Result->Epoch == CurEpoch)
-      EpochPromoted = true;
-  }
 };
 
 } // namespace runtime

@@ -42,21 +42,14 @@ std::vector<WorkProgram> server::makeWorkload(size_t Count) {
 }
 
 std::optional<int64_t> server::extractInt(std::string_view Display) {
-  for (size_t I = 0; I != Display.size(); ++I) {
-    bool Neg = Display[I] == '-' && I + 1 < Display.size() &&
-               std::isdigit(static_cast<unsigned char>(Display[I + 1]));
-    if (!Neg && !std::isdigit(static_cast<unsigned char>(Display[I])))
-      continue;
-    int64_t V = 0;
-    const char *First = Display.data() + I;
-    const char *Last = Display.data() + Display.size();
-    auto [Ptr, Ec] = std::from_chars(First, Last, V);
-    if (Ec != std::errc())
-      return std::nullopt;
-    (void)Ptr;
-    return V;
-  }
-  return std::nullopt;
+  // An Int answer's payload is its first number: `42#`, `I# 42#`.
+  size_t I = Display.find_first_of("-0123456789");
+  int64_t V = 0;
+  if (I == std::string_view::npos ||
+      std::from_chars(Display.data() + I, Display.data() + Display.size(), V)
+              .ec != std::errc())
+    return std::nullopt;
+  return V;
 }
 
 //===----------------------------------------------------------------------===//

@@ -58,9 +58,8 @@ struct WorkProgram {
 /// every call with the same count yields the same workload.
 std::vector<WorkProgram> makeWorkload(size_t Count);
 
-/// Extracts the first (possibly negative) integer from a rendered value
-/// display — the backend-neutral way to check an answer ("5050#",
-/// "5050", and "I#[5050]" all yield 5050). Nullopt when no digits.
+/// Extracts the first (possibly negative) integer from a RUN answer
+/// ("5050#" and "I# 5050#" both yield 5050). Nullopt when there is none.
 std::optional<int64_t> extractInt(std::string_view Display);
 
 /// A LEVP/1 client endpoint: one pipelined exchange of requests for

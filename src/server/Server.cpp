@@ -22,12 +22,8 @@ Server::~Server() {
   requestShutdown();
   if (AcceptThread.joinable())
     AcceptThread.join();
-  {
-    std::lock_guard<std::mutex> Lock(ConnM);
-    for (std::thread &T : ConnThreads)
-      if (T.joinable())
-        T.join();
-  }
+  for (Conn &C : Conns)
+    C.T.join();
   closeFd(ListenFd);
   if (!ListenPath.empty())
     support::removeFile(ListenPath);
@@ -465,13 +461,20 @@ void Server::acceptLoop() {
     Result<int> Fd = acceptWithTimeout(ListenFd, 200);
     if (!Fd)
       return; // Listener failed (or was closed under us).
+    // Join finished connections, so none keeps its stack until shutdown.
+    Conns.remove_if([](Conn &C) {
+      if (!C.Done.load(std::memory_order_acquire))
+        return false;
+      C.T.join();
+      return true;
+    });
     if (*Fd < 0)
       continue; // Timeout: re-check the shutdown flag.
-    int Conn = *Fd;
-    std::lock_guard<std::mutex> Lock(ConnM);
-    ConnThreads.emplace_back([this, Conn] {
-      serveFd(Conn);
-      closeFd(Conn);
+    Conn &C = Conns.emplace_back();
+    C.T = std::thread([this, Fd = *Fd, &C] {
+      serveFd(Fd);
+      closeFd(Fd);
+      C.Done.store(true, std::memory_order_release);
     });
   }
 }

@@ -50,6 +50,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <iosfwd>
+#include <list>
 #include <map>
 #include <mutex>
 #include <string>
@@ -248,8 +249,13 @@ private:
   int ListenFd = -1;
   std::string ListenPath;
   std::thread AcceptThread;
-  std::mutex ConnM;
-  std::vector<std::thread> ConnThreads;
+  /// Connection threads. Each sets Done last and the accept loop joins
+  /// it; only the accept thread, then the destructor, touches Conns.
+  struct Conn {
+    std::thread T;
+    std::atomic<bool> Done{false};
+  };
+  std::list<Conn> Conns;
 };
 
 } // namespace server

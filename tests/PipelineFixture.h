@@ -46,6 +46,27 @@ struct Pipeline {
   }
 };
 
+/// A tree run's final Int#, or nullopt.
+inline std::optional<int64_t> intHash(const runtime::Value *V) {
+  if (V && V->T == runtime::Value::Tag::IntHash)
+    return V->I;
+  return std::nullopt;
+}
+
+/// A tree run's final Double#, or nullopt.
+inline std::optional<double> doubleHash(const runtime::Value *V) {
+  if (V && V->T == runtime::Value::Tag::DoubleHash)
+    return V->D;
+  return std::nullopt;
+}
+
+/// The payload of a tree run's final I# box, or nullopt.
+inline std::optional<int64_t> boxedInt(const runtime::Value *V) {
+  if (V && V->T == runtime::Value::Tag::Con && V->DC->name().str() == "I#")
+    return V->Fields[0]->I;
+  return std::nullopt;
+}
+
 } // namespace levity
 
 #endif // LEVITY_TESTS_PIPELINEFIXTURE_H

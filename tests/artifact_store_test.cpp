@@ -773,8 +773,10 @@ TEST(ArtifactSerializeTest, BytecodeModuleCodecRoundTrips) {
   bytecode::VmResult B = Vm.run(*Back, 1u << 20);
   ASSERT_TRUE(A.ok());
   ASSERT_TRUE(B.ok());
-  EXPECT_EQ(A.IntValue.value_or(-1), 142);
-  EXPECT_EQ(B.IntValue.value_or(-2), 142);
+  ASSERT_TRUE(A.Final.isInt());
+  ASSERT_TRUE(B.Final.isInt());
+  EXPECT_EQ(A.Final.I, 142);
+  EXPECT_EQ(B.Final.I, 142);
   EXPECT_EQ(A.Stats.Steps, B.Stats.Steps);
 }
 
@@ -823,7 +825,9 @@ TEST(ArtifactSerializeTest, BytecodeCodecSurvivesFuzzedInput) {
   ASSERT_TRUE(Mod.ok()) << Mod.error();
   {
     bytecode::Vm Vm;
-    ASSERT_EQ(Vm.run(**Mod, 4096).IntValue.value_or(-1), 42);
+    bytecode::VmResult R = Vm.run(**Mod, 4096);
+    ASSERT_TRUE(R.Final.isInt());
+    ASSERT_EQ(R.Final.I, 42);
   }
 
   levc::ByteWriter W;

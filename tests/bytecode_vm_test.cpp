@@ -38,6 +38,11 @@ VmResult compileAndRun(const mcalc::Term *T, uint64_t Fuel = 1u << 22) {
   return V.run(**Mod, Fuel);
 }
 
+/// The Int# a run ended in, or -1.
+int64_t intOf(const VmResult &R) {
+  return R.ok() && R.Final.isInt() ? R.Final.I : -1;
+}
+
 //===----------------------------------------------------------------------===//
 // Values and control flow
 //===----------------------------------------------------------------------===//
@@ -47,7 +52,7 @@ TEST(BytecodeVmTest, PrimArithmetic) {
   VmResult R = compileAndRun(MC.prim(mcalc::MPrim::Mul, mcalc::MAtom::lit(6),
                                      mcalc::MAtom::lit(7)));
   ASSERT_TRUE(R.ok()) << R.StuckReason;
-  EXPECT_EQ(R.IntValue.value_or(-1), 42);
+  EXPECT_EQ(intOf(R), 42);
   EXPECT_EQ(R.Stats.Prims, 1u);
 }
 
@@ -56,7 +61,8 @@ TEST(BytecodeVmTest, DoubleArithmetic) {
   VmResult R = compileAndRun(MC.prim(
       mcalc::MPrim::DAdd, mcalc::MAtom::dlit(1.25), mcalc::MAtom::dlit(2.5)));
   ASSERT_TRUE(R.ok()) << R.StuckReason;
-  EXPECT_DOUBLE_EQ(R.DoubleValue.value_or(-1), 3.75);
+  ASSERT_TRUE(R.Final.isDbl());
+  EXPECT_DOUBLE_EQ(R.Final.D, 3.75);
 }
 
 TEST(BytecodeVmTest, If0TakesBothBranches) {
@@ -64,8 +70,8 @@ TEST(BytecodeVmTest, If0TakesBothBranches) {
   auto Run = [&](int64_t Scrut) {
     return compileAndRun(MC.if0(MC.lit(Scrut), MC.lit(10), MC.lit(20)));
   };
-  EXPECT_EQ(Run(0).IntValue.value_or(-1), 10);
-  EXPECT_EQ(Run(3).IntValue.value_or(-1), 20);
+  EXPECT_EQ(intOf(Run(0)), 10);
+  EXPECT_EQ(intOf(Run(3)), 20);
   EXPECT_EQ(Run(3).Stats.Branches, 1u);
 }
 
@@ -77,7 +83,7 @@ TEST(BytecodeVmTest, LambdaCallOverIntRegister) {
                         mcalc::MAtom::lit(1)));
   VmResult R = compileAndRun(MC.appLit(Inc, 41));
   ASSERT_TRUE(R.ok()) << R.StuckReason;
-  EXPECT_EQ(R.IntValue.value_or(-1), 42);
+  EXPECT_EQ(intOf(R), 42);
 }
 
 TEST(BytecodeVmTest, BoxAndUnbox) {
@@ -88,7 +94,7 @@ TEST(BytecodeVmTest, BoxAndUnbox) {
                 MC.prim(mcalc::MPrim::Add, mcalc::MAtom::var(N),
                         mcalc::MAtom::lit(1))));
   ASSERT_TRUE(R.ok()) << R.StuckReason;
-  EXPECT_EQ(R.IntValue.value_or(-1), 8);
+  EXPECT_EQ(intOf(R), 8);
   EXPECT_EQ(R.Stats.ConAllocs, 1u);
 }
 
@@ -109,7 +115,7 @@ TEST(BytecodeVmTest, SwitchDispatchesOnConTagAndBindsFields) {
   VmResult R =
       compileAndRun(MC.switchOf(MC.con(2, Fields), Alts, MC.lit(-2)));
   ASSERT_TRUE(R.ok()) << R.StuckReason;
-  EXPECT_EQ(R.IntValue.value_or(-1), 42);
+  EXPECT_EQ(intOf(R), 42);
   EXPECT_EQ(R.Stats.Switches, 1u);
 }
 
@@ -119,11 +125,9 @@ TEST(BytecodeVmTest, SwitchIntLiteralAndDefault) {
   Alts[0].Pat = mcalc::MAlt::PatKind::Int;
   Alts[0].IntVal = 5;
   Alts[0].Body = MC.lit(100);
-  EXPECT_EQ(compileAndRun(MC.switchOf(MC.lit(5), Alts, MC.lit(200)))
-                .IntValue.value_or(-1),
+  EXPECT_EQ(intOf(compileAndRun(MC.switchOf(MC.lit(5), Alts, MC.lit(200)))),
             100);
-  EXPECT_EQ(compileAndRun(MC.switchOf(MC.lit(6), Alts, MC.lit(200)))
-                .IntValue.value_or(-1),
+  EXPECT_EQ(intOf(compileAndRun(MC.switchOf(MC.lit(6), Alts, MC.lit(200)))),
             200);
 }
 
@@ -147,7 +151,7 @@ TEST(BytecodeVmTest, LazyLetForcesOnceThenReusesTheUpdate) {
                                   mcalc::MAtom::var(N2)))));
   VmResult R = compileAndRun(T);
   ASSERT_TRUE(R.ok()) << R.StuckReason;
-  EXPECT_EQ(R.IntValue.value_or(-1), 40);
+  EXPECT_EQ(intOf(R), 40);
   EXPECT_EQ(R.Stats.ThunkEvals, 1u) << "second force must hit the update";
   EXPECT_EQ(R.Stats.ThunkUpdates, 1u);
 }
@@ -165,7 +169,7 @@ TEST(BytecodeVmTest, LetRecTiesTheKnot) {
   VmResult R =
       compileAndRun(MC.letRec(F, MC.lam(N, Body), MC.appLit(MC.var(F), 5)));
   ASSERT_TRUE(R.ok()) << R.StuckReason;
-  EXPECT_EQ(R.IntValue.value_or(-1), 42);
+  EXPECT_EQ(intOf(R), 42);
   EXPECT_GE(R.Stats.Knots, 1u);
 }
 
@@ -229,17 +233,21 @@ TEST(BytecodeVmTest, CaseOverARawIntIsStuck) {
 
 TEST(BytecodeVmTest, UnderApplicationBuildsAPap) {
   // (λx.λy. x +# y) 1 — one argument short of the two-parameter proto:
-  // eval/apply parks the argument in a PAP, which is a first-class
-  // function value rendered like any closure. The proto is never
-  // entered.
+  // eval/apply parks the argument in a PAP, a first-class function
+  // value. The proto is never entered.
   mcalc::MContext MC;
   mcalc::MVar X = MC.freshInt(), Y = MC.freshInt();
   const mcalc::Term *F =
       MC.lam(X, MC.lam(Y, MC.prim(mcalc::MPrim::Add, mcalc::MAtom::var(X),
                                   mcalc::MAtom::var(Y))));
-  VmResult R = compileAndRun(MC.appLit(F, 1));
+  auto Mod = compile(MC.appLit(F, 1));
+  ASSERT_TRUE(Mod.ok()) << Mod.error();
+  Vm V;
+  VmResult R = V.run(**Mod, 1u << 22);
   ASSERT_TRUE(R.ok()) << R.StuckReason;
-  EXPECT_EQ(R.Display, "<closure>");
+  // The final slot points into V's heap, which still holds the PAP.
+  ASSERT_TRUE(R.Final.isPtr());
+  EXPECT_EQ(R.Final.P->Kind, Obj::K::Pap);
   EXPECT_EQ(R.Stats.PapAllocs, 1u);
   EXPECT_EQ(R.Stats.Calls, 0u);
 }
@@ -265,7 +273,7 @@ TEST(BytecodeVmTest, OverApplicationEntersThenAppliesTheResult) {
   VmResult R =
       compileAndRun(MC.appLit(MC.appLit(MC.appLit(F, 1), 2), 3));
   ASSERT_TRUE(R.ok()) << R.StuckReason;
-  EXPECT_EQ(R.IntValue.value_or(-1), 6);
+  EXPECT_EQ(intOf(R), 6);
   EXPECT_GE(R.Stats.UncurriedCalls, 1u);
   EXPECT_EQ(R.Stats.PapAllocs, 0u);
 }
@@ -289,7 +297,7 @@ TEST(BytecodeVmTest, PapInAThunkIsBuiltOnceAndSharedAcrossCalls) {
                                     mcalc::MAtom::var(B)))));
   VmResult R = compileAndRun(T);
   ASSERT_TRUE(R.ok()) << R.StuckReason;
-  EXPECT_EQ(R.IntValue.value_or(-1), 52);
+  EXPECT_EQ(intOf(R), 52);
   EXPECT_EQ(R.Stats.PapAllocs, 1u);
   EXPECT_EQ(R.Stats.ThunkEvals, 1u);
   EXPECT_EQ(R.Stats.ThunkUpdates, 1u);

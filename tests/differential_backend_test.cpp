@@ -10,7 +10,8 @@
 // core evaluator), Backend::AbstractMachine (core → L → Figure 7 ANF →
 // the Figure 6 machine), and Backend::Bytecode (the same M lowering
 // compiled to the flat bytecode VM), and the three RunResults must agree
-// — same status, same Int#/Double# value, same error message on ⊥.
+// — same status, same printed answer and Int#/Double# value, same error
+// message on ⊥.
 // Programs outside the widened fragment must report Unsupported with a
 // "not expressible in L" diagnostic, never crash and never silently
 // diverge.
@@ -74,6 +75,9 @@ void runDifferential(const CorpusProgram &P) {
       << Bc.Error << "'";
   switch (Tree.St) {
   case RunResult::Status::Ok:
+    // One printer: the text a client gets is byte-identical.
+    EXPECT_EQ(Tree.Display, Mach.Display);
+    EXPECT_EQ(Tree.Display, Bc.Display);
     ASSERT_EQ(Tree.IntValue.has_value(), Mach.IntValue.has_value());
     ASSERT_EQ(Tree.DoubleValue.has_value(), Mach.DoubleValue.has_value());
     ASSERT_EQ(Tree.IntValue.has_value(), Bc.IntValue.has_value());
@@ -108,6 +112,16 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CorpusProgram> &Info) {
       return std::string(Info.param.Label);
     });
+
+TEST(DifferentialBackendTest, RejectedLevityPolymorphismCarriesItsDiagnostic) {
+  for (const levity::testing::RejectedProgram &P : levity::testing::Rejected) {
+    SCOPED_TRACE(P.Label);
+    Session S;
+    auto Comp = S.compile(P.Source);
+    EXPECT_FALSE(Comp->ok());
+    EXPECT_TRUE(Comp->diags().hasError(P.Code)) << Comp->diagText();
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Cross-cutting agreement properties

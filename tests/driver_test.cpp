@@ -18,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "PipelineFixture.h"
 #include "driver/Executor.h"
 #include "driver/Session.h"
 #include "runtime/Samples.h"
@@ -208,6 +209,50 @@ TEST(DriverTest, DoubleDisplayIsShortestRoundTripOnEveryBackend) {
     EXPECT_EQ(std::strtod(D.substr(0, D.size() - 2).c_str(), nullptr),
               *Third.DoubleValue)
         << D;
+  }
+}
+
+TEST(DriverTest, OneAnswerTextOnEveryBackend) {
+  // One reader per backend, one printer: the answer is surface syntax,
+  // fields are read by rep at depth one, and lifted fields print `_`
+  // without being forced (the cyclic `ones` would never finish).
+  Session S;
+  auto Comp = S.compile("data Color = Red | Green | Blue ;"
+                        "data P = MkP Int Int ;"
+                        "data W = W Int# ;"
+                        "data Acc = MkAcc Int# Double# ;"
+                        "data IntList = Nil | Cons Int IntList ;"
+                        "ones :: IntList ;"
+                        "ones = Cons (I# 1#) ones ;"
+                        "unboxed = 42# ;"
+                        "boxed = I# 42# ;"
+                        "green = Green ;"
+                        "pair = MkP (I# 1#) (I# 2#) ;"
+                        "w = W 5# ;"
+                        "acc = MkAcc 3# 2.5## ;"
+                        "fn :: Int# -> Int# ;"
+                        "fn x = x +# 1#");
+  ASSERT_TRUE(Comp->ok()) << Comp->diagText();
+  const std::pair<const char *, const char *> Expected[] = {
+      {"unboxed", "42#"},   {"boxed", "I# 42#"},
+      {"green", "Green"},   {"pair", "MkP _ _"},
+      {"ones", "Cons _ _"}, {"w", "W 5#"},
+      {"acc", "MkAcc 3# 2.5##"}, {"fn", "<closure>"}};
+  for (Backend B :
+       {Backend::TreeInterp, Backend::AbstractMachine, Backend::Bytecode}) {
+    SCOPED_TRACE(std::string(backendName(B)));
+    for (const auto &[Name, Text] : Expected) {
+      RunResult R = Comp->run(Name, B);
+      ASSERT_TRUE(R.ok()) << Name << ": " << R.Error;
+      EXPECT_EQ(R.Used, B);
+      EXPECT_EQ(R.Display, Text);
+    }
+    // Only Int# and the I# box carry IntValue; a user constructor with
+    // one Int# field is not a box.
+    EXPECT_EQ(Comp->run("unboxed", B).IntValue.value_or(-1), 42);
+    EXPECT_EQ(Comp->run("boxed", B).IntValue.value_or(-1), 42);
+    EXPECT_FALSE(Comp->run("w", B).IntValue.has_value());
+    EXPECT_FALSE(Comp->run("acc", B).DoubleValue.has_value());
   }
 }
 
@@ -567,7 +612,7 @@ TEST(DriverTest, ProgrammaticCompilationRidesTheFacade) {
   runtime::InterpResult IR =
       Ex.evalExpr(runtime::callSumToUnboxed(Comp->ctx(), 100));
   ASSERT_EQ(IR.Status, runtime::InterpStatus::Value);
-  EXPECT_EQ(runtime::Interp::asIntHash(IR.V).value_or(-1), 5050);
+  EXPECT_EQ(intHash(IR.V).value_or(-1), 5050);
   // The unboxed loop allocates nothing (Section 2.1's claim).
   EXPECT_EQ(IR.Stats.ThunkAllocs + IR.Stats.BoxAllocs, 0u);
 }
@@ -616,6 +661,30 @@ TEST(DriverTest, FormalPipelineSharesTheCompilationAPI) {
   ASSERT_TRUE(Mach.ok()) << Mach.Error;
   EXPECT_EQ(Small.IntValue.value_or(-1), 7);
   EXPECT_EQ(Mach.IntValue.value_or(-1), 7);
+}
+
+TEST(DriverTest, FormalAnswersPrintOnEveryBackend) {
+  // data T = A | B Int# | C Int Double#. The M and bytecode values carry
+  // only the tag; the name comes from the L data declaration.
+  Session S;
+  auto Comp = S.compileFormal([](lcalc::LContext &L) {
+    lcalc::LDataDecl *T = L.declareData(L.sym("T"));
+    L.addDataCon(T, L.sym("A"), {});
+    const lcalc::Type *BF[] = {L.intHashTy()};
+    L.addDataCon(T, L.sym("B"), BF);
+    const lcalc::Type *CF[] = {L.intTy(), L.doubleHashTy()};
+    L.addDataCon(T, L.sym("C"), CF);
+    const lcalc::Expr *Args[] = {L.con(L.intLit(1)), L.doubleLit(2.5)};
+    return L.conData(T, 2, Args);
+  });
+  ASSERT_TRUE(Comp->ok()) << Comp->diagText();
+  for (Backend B :
+       {Backend::TreeInterp, Backend::AbstractMachine, Backend::Bytecode}) {
+    RunResult R = Comp->run(B);
+    ASSERT_TRUE(R.ok()) << backendName(B) << ": " << R.Error;
+    EXPECT_EQ(R.Used, B);
+    EXPECT_EQ(R.Display, "C _ 2.5##") << backendName(B);
+  }
 }
 
 TEST(DriverTest, IllTypedFormalTermFailsWithTypeError) {

@@ -33,7 +33,7 @@ TEST(IntegrationTest, FibBoxed) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(R.V).value_or(-1), 610);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 610);
 }
 
 // GCD at Int#: a non-tail recursion over unboxed values.
@@ -49,7 +49,7 @@ TEST(IntegrationTest, GcdUnboxed) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(R.V).value_or(-1), 21);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 21);
   EXPECT_EQ(R.Stats.heapAllocations() - R.Stats.ClosureAllocs, 0u);
 }
 
@@ -67,7 +67,7 @@ TEST(IntegrationTest, MixedRepRoundTrip) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_DOUBLE_EQ(runtime::Interp::asDoubleHash(R.V).value_or(-1), 25.0);
+  EXPECT_DOUBLE_EQ(doubleHash(R.V).value_or(-1), 25.0);
 }
 
 // Unlifted fields are strict: constructing the box forces them.
@@ -105,7 +105,7 @@ TEST(IntegrationTest, UnboxedTupleThreading) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(R.V).value_or(-1), 21);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 21);
 }
 
 // The empty unboxed tuple is a legal value with zero registers.
@@ -117,7 +117,7 @@ TEST(IntegrationTest, EmptyUnboxedTuple) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(R.V).value_or(-1), 42);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 42);
 }
 
 // Diagnostics carry source locations.
@@ -139,7 +139,7 @@ TEST(IntegrationTest, ShadowingResolvesInnermost) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(R.V).value_or(-1), 12);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 12);
 }
 
 // Higher-order functions over unboxed results through ($).
@@ -154,7 +154,7 @@ TEST(IntegrationTest, HigherOrderUnboxedResults) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(R.V).value_or(-1), 42);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 42);
 }
 
 // A rep-polymorphic *argument* position in a signature is rejected even

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "PipelineFixture.h"
 #include "core/LevityCheck.h"
 #include "runtime/Interp.h"
 #include "runtime/Samples.h"
@@ -32,8 +33,8 @@ protected:
   int64_t evalIntHash(const Expr *E) {
     InterpResult R = I.eval(E);
     EXPECT_EQ(R.Status, InterpStatus::Value) << R.Message;
-    std::optional<int64_t> V = Interp::asIntHash(R.V);
-    EXPECT_TRUE(V.has_value()) << I.show(R.V);
+    std::optional<int64_t> V = intHash(R.V);
+    EXPECT_TRUE(V.has_value());
     return V.value_or(-999);
   }
 };
@@ -97,7 +98,7 @@ TEST_F(InterpTest, ThunkSharingForcesOnce) {
   const Expr *E = C.let(X, C.intTy(), Boxed, Body, /*Strict=*/false);
   InterpResult R = I.eval(E);
   ASSERT_EQ(R.Status, InterpStatus::Value) << R.Message;
-  EXPECT_EQ(Interp::asIntHash(R.V).value_or(-1), 42);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 42);
   EXPECT_EQ(R.Stats.ThunkForces, 1u) << "thunk must be shared";
 }
 
@@ -121,7 +122,7 @@ TEST_F(InterpTest, TypeApplicationErased) {
   const Expr *E = C.app(C.tyApp(PolyId, C.intTy()), Boxed, false);
   InterpResult R = I.eval(E);
   ASSERT_EQ(R.Status, InterpStatus::Value);
-  EXPECT_EQ(I.asBoxedInt(R.V).value_or(-1), 5);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 5);
 }
 
 //===--------------------------------------------------------------------===//
@@ -139,19 +140,19 @@ protected:
 TEST_F(SamplesTest, SumToBoxedComputes) {
   InterpResult R = I.eval(callSumToBoxed(C, 100));
   ASSERT_EQ(R.Status, InterpStatus::Value) << R.Message;
-  EXPECT_EQ(I.asBoxedInt(R.V).value_or(-1), 5050);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 5050);
 }
 
 TEST_F(SamplesTest, SumToUnboxedComputes) {
   InterpResult R = I.eval(callSumToUnboxed(C, 100));
   ASSERT_EQ(R.Status, InterpStatus::Value) << R.Message;
-  EXPECT_EQ(Interp::asIntHash(R.V).value_or(-1), 5050);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 5050);
 }
 
 TEST_F(SamplesTest, SumToDoubleComputes) {
   InterpResult R = I.eval(callSumToDouble(C, 100.0));
   ASSERT_EQ(R.Status, InterpStatus::Value) << R.Message;
-  EXPECT_DOUBLE_EQ(Interp::asDoubleHash(R.V).value_or(-1), 5050.0);
+  EXPECT_DOUBLE_EQ(doubleHash(R.V).value_or(-1), 5050.0);
 }
 
 // Section 2.1's claim, as cost-model facts: the boxed loop allocates
@@ -180,7 +181,7 @@ TEST_F(SamplesTest, UnboxedLoopRunsDeep) {
   // Tail recursion must run in constant C++ stack.
   InterpResult R = I.eval(callSumToUnboxed(C, 200000));
   ASSERT_EQ(R.Status, InterpStatus::Value) << R.Message;
-  EXPECT_EQ(Interp::asIntHash(R.V).value_or(-1),
+  EXPECT_EQ(intHash(R.V).value_or(-1),
             int64_t(200000) * 200001 / 2);
 }
 
@@ -189,7 +190,7 @@ TEST_F(SamplesTest, UnboxedLoopRunsDeep) {
 TEST_F(SamplesTest, DivModUnboxedIsAllocationFree) {
   InterpResult R = I.eval(callDivModUnboxed(C, 17, 5));
   ASSERT_EQ(R.Status, InterpStatus::Value) << R.Message;
-  EXPECT_EQ(Interp::asIntHash(R.V).value_or(-1), 3002);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 3002);
   EXPECT_EQ(R.Stats.heapAllocations() - R.Stats.ClosureAllocs, 0u);
   EXPECT_GE(R.Stats.TupleMoves, 1u);
 }
@@ -197,7 +198,7 @@ TEST_F(SamplesTest, DivModUnboxedIsAllocationFree) {
 TEST_F(SamplesTest, DivModBoxedAllocates) {
   InterpResult R = I.eval(callDivModBoxed(C, 17, 5));
   ASSERT_EQ(R.Status, InterpStatus::Value) << R.Message;
-  EXPECT_EQ(Interp::asIntHash(R.V).value_or(-1), 3002);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 3002);
   // One pair + two result boxes + two argument boxes at least.
   EXPECT_GE(R.Stats.BoxAllocs, 3u);
 }

@@ -46,7 +46,7 @@ TEST(ClassTest, UnboxedInstanceAddition) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(R.V).value_or(-1), 7);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 7);
 }
 
 TEST(ClassTest, BoxedInstanceAddition) {
@@ -55,7 +55,7 @@ TEST(ClassTest, BoxedInstanceAddition) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(R.V).value_or(-1), 7);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 7);
 }
 
 TEST(ClassTest, AbsAtBothReps) {
@@ -66,10 +66,10 @@ TEST(ClassTest, AbsAtBothReps) {
       << P.diags().str();
   runtime::InterpResult RU = P.evalName("u");
   ASSERT_EQ(RU.Status, runtime::InterpStatus::Value) << RU.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(RU.V).value_or(-1), 5);
+  EXPECT_EQ(intHash(RU.V).value_or(-1), 5);
   runtime::InterpResult RB = P.evalName("b");
   ASSERT_EQ(RB.Status, runtime::InterpStatus::Value) << RB.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(RB.V).value_or(-1), 5);
+  EXPECT_EQ(boxedInt(RB.V).value_or(-1), 5);
 }
 
 // abs1 = abs — no levity-polymorphic binder (the dictionary methods are
@@ -84,7 +84,7 @@ TEST(ClassTest, Abs1Accepted) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(R.V).value_or(-1), 3);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 3);
 }
 
 // abs2 x = abs x — the η-expansion binds x :: a :: TYPE r; REJECTED with
@@ -111,7 +111,7 @@ TEST(ClassTest, LiftedConstrainedFunction) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(R.V).value_or(-1), 42);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 42);
 }
 
 // Missing instances are reported.
@@ -151,7 +151,7 @@ TEST(ClassTest, DispatchSelectsInstance) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(R.V).value_or(-1), 26);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 26);
 }
 
 // A Double# instance shows a third calling convention (float registers)
@@ -168,7 +168,7 @@ TEST(ClassTest, DoubleHashInstance) {
       << P.diags().str();
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_DOUBLE_EQ(runtime::Interp::asDoubleHash(R.V).value_or(-1), 2.5);
+  EXPECT_DOUBLE_EQ(doubleHash(R.V).value_or(-1), 2.5);
 }
 
 // The generalized method type is levity-polymorphic, like the paper's

@@ -31,7 +31,7 @@ TEST(PipelineTest, UnboxedArithmetic) {
   COMPILE_OK(P, "main = 40# +# 2#");
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(R.V).value_or(-1), 42);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 42);
 }
 
 TEST(PipelineTest, BoxedArithmeticViaBuiltins) {
@@ -39,7 +39,7 @@ TEST(PipelineTest, BoxedArithmeticViaBuiltins) {
   COMPILE_OK(P, "main = 40 + 2");
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(R.V).value_or(-1), 42);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 42);
 }
 
 TEST(PipelineTest, InferenceDefaultsToInt) {
@@ -70,11 +70,11 @@ TEST(PipelineTest, SumToBothWays) {
              "unboxed = sumToH 0# 100#");
   runtime::InterpResult RB = P.evalName("boxed");
   ASSERT_EQ(RB.Status, runtime::InterpStatus::Value) << RB.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(RB.V).value_or(-1), 5050);
+  EXPECT_EQ(boxedInt(RB.V).value_or(-1), 5050);
 
   runtime::InterpResult RU = P.evalName("unboxed");
   ASSERT_EQ(RU.Status, runtime::InterpStatus::Value) << RU.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(RU.V).value_or(-1), 5050);
+  EXPECT_EQ(intHash(RU.V).value_or(-1), 5050);
   // The unboxed loop performs no heap allocation beyond the top-level
   // closures (cost-model claim E1).
   EXPECT_EQ(RU.Stats.ThunkAllocs, 0u);
@@ -90,7 +90,7 @@ TEST(PipelineTest, DivModUnboxedTuple) {
              "main = case divMod 17# 5# of { (# q, r #) -> q *# 10# +# r }");
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(R.V).value_or(-1), 32);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 32);
   EXPECT_EQ(R.Stats.BoxAllocs, 0u);
   EXPECT_EQ(R.Stats.ThunkAllocs, 0u);
 }
@@ -111,7 +111,7 @@ TEST(PipelineTest, MyErrorLevityPolymorphic) {
              "bad = f (0# -# 7#)");
   runtime::InterpResult ROk = P.evalName("ok");
   ASSERT_EQ(ROk.Status, runtime::InterpStatus::Value) << ROk.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(ROk.V).value_or(-1), 4);
+  EXPECT_EQ(intHash(ROk.V).value_or(-1), 4);
 
   runtime::InterpResult RBad = P.evalName("bad");
   EXPECT_EQ(RBad.Status, runtime::InterpStatus::Bottom);
@@ -155,7 +155,7 @@ TEST(PipelineTest, BTwiceLiftedAccepted) {
              "main = bTwice True 5 (\\n -> n + 1)");
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(R.V).value_or(-1), 7);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 7);
 }
 
 // Section 7.2: ($) at an unboxed *result* type — the generalized type in
@@ -169,7 +169,7 @@ TEST(PipelineTest, DollarAtUnboxedResult) {
              "main = unbox $ 41");
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(R.V).value_or(-1), 42);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 42);
 }
 
 // And the flip side: ($) with an *unboxed argument* is rejected — the
@@ -195,7 +195,7 @@ TEST(PipelineTest, ComposeAtUnboxedResult) {
              "main = both 41");
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(runtime::Interp::asIntHash(R.V).value_or(-1), 42);
+  EXPECT_EQ(intHash(R.V).value_or(-1), 42);
 }
 
 TEST(PipelineTest, UserDataTypesAndCase) {
@@ -209,7 +209,7 @@ TEST(PipelineTest, UserDataTypesAndCase) {
              "main = area (Rect 6 7)");
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(R.V).value_or(-1), 42);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 42);
 }
 
 TEST(PipelineTest, PolymorphicDataTypes) {
@@ -220,7 +220,7 @@ TEST(PipelineTest, PolymorphicDataTypes) {
              "main = unbox (MkBox 42)");
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(R.V).value_or(-1), 42);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 42);
   const core::Type *T = P.elaborator().globalType("unbox");
   ASSERT_NE(T, nullptr);
   EXPECT_EQ(T->str(), "forall (a :: Type). Box a -> a");
@@ -257,7 +257,7 @@ TEST(PipelineTest, LocalLetAndLambda) {
              "       in go 0 10");
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(R.V).value_or(-1), 55);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 55);
 }
 
 TEST(PipelineTest, IfOverComparisons) {
@@ -265,7 +265,7 @@ TEST(PipelineTest, IfOverComparisons) {
   COMPILE_OK(P, "main = if 3 < 4 then 1 else 0");
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_EQ(P.interp().asBoxedInt(R.V).value_or(-1), 1);
+  EXPECT_EQ(boxedInt(R.V).value_or(-1), 1);
 }
 
 TEST(PipelineTest, DoubleHashArithmetic) {
@@ -273,7 +273,7 @@ TEST(PipelineTest, DoubleHashArithmetic) {
   COMPILE_OK(P, "main = 2.5## *## 4.0##");
   runtime::InterpResult R = P.evalName("main");
   ASSERT_EQ(R.Status, runtime::InterpStatus::Value) << R.Message;
-  EXPECT_DOUBLE_EQ(runtime::Interp::asDoubleHash(R.V).value_or(-1), 10.0);
+  EXPECT_DOUBLE_EQ(doubleHash(R.V).value_or(-1), 10.0);
 }
 
 TEST(PipelineTest, ScopeErrorsReported) {
