@@ -222,8 +222,8 @@ void BM_CompileColdFrontEnd(benchmark::State &State) {
 
 void BM_CompileWarmStoreHit(benchmark::State &State) {
   // A fresh Session per iteration over a warm store: compiling is pure
-  // .levc deserialization. The hydrated artifact is immediately
-  // runnable on the machine backend with zero re-lowering.
+  // .levc deserialization. The hydrated artifact's stored bytecode runs
+  // with zero front-end, lowering or bytecode-compile work.
   CompileOptions Opts;
   Opts.StorePath = warmStoreDir();
   for (auto _ : State) {
@@ -237,8 +237,10 @@ void BM_CompileWarmStoreHit(benchmark::State &State) {
 }
 
 void BM_RunMachineHydrated(benchmark::State &State) {
-  // End-to-end warm-store usefulness: hydrate once, then replay the
-  // 200-iteration loop on the machine from the deserialized terms.
+  // A hydrated Compilation on the oracle machine: hydrate once, then
+  // replay the 200-iteration loop. Artifacts store only bytecode, so the
+  // first run rebuilds the front end and lowers to M; later runs reuse
+  // that memoized M term.
   CompileOptions Opts;
   Opts.StorePath = warmStoreDir();
   Session S(Opts);

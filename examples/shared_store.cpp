@@ -14,11 +14,12 @@
 //                                   # compile the same corpus with 100%
 //                                   # disk hits and ZERO front-end runs,
 //                                   # then run every program on the
-//                                   # abstract machine.
+//                                   # bytecode VM, the production engine.
 //
 // The consume step exits non-zero unless Session::Stats reports
 // DiskHits == corpus size and Compilations == 0 — compiling has
-// collapsed to deserializing the `.levc` artifacts process A published.
+// collapsed to deserializing the `.levc` artifacts process A published —
+// and every in-fragment program ran from its stored bytecode.
 // CMake registers both steps as a ctest fixture pair, so `ctest` runs
 // the cross-process contract on every build (and CI has a dedicated
 // job for it).
@@ -84,8 +85,11 @@ int consume(const std::string &Dir) {
       return fail(P.Label);
     if (!Comp->hydrated())
       return fail((std::string(P.Label) + ": expected a disk hit").c_str());
-    RunResult R = Comp->run(P.Global, Backend::AbstractMachine);
-    if (P.InFragment && R.St == RunResult::Status::Unsupported)
+    RunResult R = Comp->run(P.Global, Backend::Bytecode);
+    if (P.InFragment && !Comp->hydratedBytecode())
+      return fail((std::string(P.Label) + ": no stored bytecode").c_str());
+    if (P.InFragment && (R.St == RunResult::Status::Unsupported ||
+                         R.Used != Backend::Bytecode))
       return fail((std::string(P.Label) + ": " + R.Error).c_str());
     if (!P.InFragment) {
       if (R.St != RunResult::Status::Unsupported)

@@ -174,8 +174,8 @@ struct Module {
   std::vector<SwitchTable> Tables;
 };
 
-/// The compiler refuses terms nested deeper than this (mirrors
-/// levc::MaxTermDepth: recursion depth must stay bounded) and frames
+/// The compiler refuses terms nested deeper than this (its recursion
+/// depth must stay bounded) and frames
 /// needing more slots than a u16 operand can address. Both failures are
 /// pinned "bytecode backend: ..." diagnostics the driver answers with a
 /// clean fallback to the term-graph machine.

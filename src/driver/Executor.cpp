@@ -278,7 +278,7 @@ RunResult Executor::runTree(std::string_view Name) {
   RunResult R;
   R.Used = Backend::TreeInterp;
   // For store-hydrated compilations this elabOutput() call performs the
-  // lazy front-end rebuild (once; machine-only consumers never pay it).
+  // lazy front-end rebuild (once; runs of stored bytecode never pay it).
   // Only that rebuild can leave a runnable compilation without elab
   // output — failed and formal compilations were rejected in run() —
   // but keep the message honest should another path ever get here.
@@ -370,24 +370,23 @@ bytecode::Vm &Executor::vm() {
 
 RunResult Executor::runBytecode(std::string_view Name) {
   auto Start = std::chrono::steady_clock::now();
-  // The M lowering gates fragment membership exactly as for the machine
-  // backend: a global outside the L fragment is Unsupported with the
-  // same "not expressible in L" diagnostic, on every backend.
-  Result<const mcalc::Term *> T = Comp->machineTerm(Name);
-  if (!T) {
+  Result<const bytecode::Module *> Mod = Comp->bytecodeModule(Name);
+  if (!Mod) {
+    // The M lowering gates fragment membership exactly as for the machine
+    // backend: a global outside the L fragment is Unsupported with the
+    // same "not expressible in L" diagnostic, on every backend. An M term
+    // outside the bytecode fragment falls back to the term-graph machine
+    // (never miscompile, never fail a program the machine can run); Used
+    // reports the backend that actually ran.
+    Result<const mcalc::Term *> T = Comp->machineTerm(Name);
+    if (T)
+      return runMachine(Name);
     RunResult R;
     R.Used = Backend::Bytecode;
     R.St = RunResult::Status::Unsupported;
     R.Error = T.error();
     R.Millis = millisSince(Start);
     return R;
-  }
-  Result<const bytecode::Module *> Mod = Comp->bytecodeModule(Name);
-  if (!Mod) {
-    // The M term exists but is outside the bytecode fragment: fall back
-    // to the term-graph machine (never miscompile, never fail a program
-    // the machine can run). Used reports the backend that actually ran.
-    return runMachine(Name);
   }
   bytecode::VmResult VR = vm().run(**Mod, Opts.MaxVmSteps);
   RunResult R;

@@ -79,8 +79,10 @@ public:
   /// Evaluates top-level \p Name on a specific backend. Tree runs share
   /// this executor's interpreter (memoized globals persist across
   /// calls); machine runs replay from an empty heap every time. On a
-  /// store-hydrated Compilation, the first tree run triggers the lazy
-  /// front-end rebuild — machine runs never do.
+  /// store-hydrated Compilation, a bytecode run of a stored user binding
+  /// does no compile work; any other run (tree, machine, a prelude or
+  /// out-of-bytecode-fragment global) first triggers the lazy front-end
+  /// rebuild, once.
   RunResult run(std::string_view Name, Backend B);
 
   //===------------------------------------------------------------------===//
@@ -128,7 +130,8 @@ private:
   /// growing the shared arena forever. Restarting the name counter is
   /// sound because Symbol identity is per-table: a run-minted "p0" can
   /// never collide with a compiled term's "p0" (different SymbolTables).
-  /// A run's answer is read (driver/Answer.h) before the next reset.
+  /// A run's answer is read (Executor.cpp's one printer) before the next
+  /// reset.
   mcalc::MContext &runContext();
 
   std::shared_ptr<const Compilation> Comp;

@@ -7,31 +7,32 @@
 ///
 /// \file
 /// The binary reader/writer behind the on-disk compilation store
-/// (driver/ArtifactStore.h). A `.levc` artifact persists everything a
-/// cold process needs to *run* a compiled program on the abstract
-/// machine without re-running the front end or the core→L→ANF→M
-/// lowering: the source text (for exact-match validation), the
-/// per-global compiled M terms (or their pinned "not expressible in L"
-/// failures), pretty-printed global types, the original stage timings,
-/// and the M-context name counter.
+/// (driver/ArtifactStore.h). A `.levc` artifact persists what a cold
+/// process needs to *run* a compiled program on the bytecode VM without
+/// re-running the front end, the core→L→ANF→M lowering or the bytecode
+/// compiler: the source text (for exact-match validation and the lazy
+/// front-end rebuild), the original stage timings, pretty-printed global
+/// types, and the compiled bytecode of the user's bindings. Everything
+/// else — core IR, M terms, prelude globals, out-of-fragment globals —
+/// is rebuilt lazily from the source on first use.
 ///
 /// The format is *versioned twice*:
 ///
 ///   * FormatVersion — the byte layout of this file. Bump on any layout
 ///     change.
 ///   * pipelineFingerprint() — a hash of FormatVersion, the pipeline
-///     epoch string, and the stable tag-space sizes of the M syntax
-///     (mcalc::Term::NumTermKinds, NumMPrims, NumVarSorts). Any change
-///     to what the pipeline *produces* — new node kinds, new primops,
-///     changed lowering semantics (bump PipelineEpoch for those) —
-///     changes the fingerprint, and every stale store entry silently
+///     epoch string, and the stable tag-space sizes that BCOD operands
+///     carry (mcalc::NumMPrims, mcalc::NumVarSorts, bytecode::NumOps).
+///     Any change to what the pipeline *produces* — new primops, new
+///     opcodes, changed lowering semantics (bump PipelineEpoch for those)
+///     — changes the fingerprint, and every stale store entry silently
 ///     becomes a miss.
 ///
 /// The full byte layout is specified in docs/ARTIFACT_FORMAT.md; this
 /// header is the single implementation of it. Readers treat *any*
 /// malformed input (bad magic, version, fingerprint, checksum, truncated
-/// or corrupt sections) as "no artifact": deserialization returns null
-/// and the driver recompiles from source.
+/// or corrupt sections, a missing BCOD section) as "no artifact":
+/// deserialization returns null and the driver recompiles from source.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +40,6 @@
 #define LEVITY_DRIVER_SERIALIZE_H
 
 #include "bytecode/Bytecode.h"
-#include "mcalc/Syntax.h"
 
 #include <cstdint>
 #include <memory>
@@ -60,11 +60,11 @@ inline constexpr char Magic[4] = {'L', 'E', 'V', 'C'};
 /// constructor atoms that may name pointer registers.
 /// v3 (PR 6): the optional BCOD section — per-global compiled bytecode
 /// modules, so warm-store Backend::Bytecode runs need zero front-end,
-/// lowering, or bytecode-compilation work.
-/// Still v3 without the CORE section: writers no longer emit it and
-/// readers skip its id like any unknown section; the fingerprint lost
-/// its core-primop and rep-atom terms, so stores that carry one miss.
-inline constexpr uint32_t FormatVersion = 3;
+/// lowering, or bytecode-compilation work. Later without the CORE
+/// section (readers skipped its id like any unknown section).
+/// v4: no MTRM section and no name counter in META; BCOD is mandatory
+/// and holds only the user's bindings.
+inline constexpr uint32_t FormatVersion = 4;
 
 /// Names the semantics of the compiled artifacts. Bump whenever the
 /// core→L→ANF→M lowering changes observable output (new fragment,
@@ -76,14 +76,11 @@ inline constexpr char PipelineEpoch[] = "core->L->ANF->M pr6";
 /// sections are skipped on read, so future writers may append sections
 /// without a FormatVersion bump.
 enum SectionId : uint32_t {
-  SecSource = 0x20435253, ///< "SRC " — the exact source text.
-  SecMeta = 0x4154454D,   ///< "META" — timings, backend, name counter.
-  SecTypes = 0x45505954,  ///< "TYPE" — pretty-printed global types.
-  SecTerms = 0x4D52544D,  ///< "MTRM" — per-global M terms / failures.
-  SecBytecode = 0x444F4342, ///< "BCOD" — per-global compiled bytecode
-                            ///< modules (optional; lets Bytecode-backend
-                            ///< consumers of a warm store skip even the
-                            ///< bytecode compiler).
+  SecSource = 0x20435253,   ///< "SRC " — the exact source text.
+  SecMeta = 0x4154454D,     ///< "META" — backend and stage timings.
+  SecTypes = 0x45505954,    ///< "TYPE" — pretty-printed global types.
+  SecBytecode = 0x444F4342, ///< "BCOD" — compiled bytecode of the user's
+                            ///< bindings (mandatory).
 };
 
 /// The version fingerprint written into (and demanded of) every
@@ -149,33 +146,7 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// M-term encoding
-//===----------------------------------------------------------------------===//
-
-/// Serializes one M term (tag byte per node — the stable
-/// mcalc::Term::TermKind values — preorder, recursively).
-void writeTerm(ByteWriter &W, const mcalc::Term *T);
-
-/// Decodes one M term, allocating nodes in \p Ctx and interning names in
-/// its symbol table. \returns null (and fails \p R) on malformed input:
-/// bad tags, bad sorts, over-deep nesting, or truncation.
-const mcalc::Term *readTerm(ByteReader &R, mcalc::MContext &Ctx);
-
-/// Decode refuses terms nested deeper than this (a corrupt length field
-/// must not turn into unbounded C++ recursion). Kept small enough that
-/// the guard fires before the decoder's ~2 stack frames per level can
-/// overflow even an -O0/sanitizer thread stack, and still an order of
-/// magnitude beyond any term the lowering produces for this fragment.
-inline constexpr unsigned MaxTermDepth = 1u << 11;
-
-/// Decode refuses constructor nodes/patterns with more fields than this
-/// and switches with more alternatives than this — a corrupt count must
-/// not turn into a giant allocation.
-inline constexpr unsigned MaxConFields = 1u << 16;
-inline constexpr unsigned MaxSwitchAlts = 1u << 16;
-
-//===----------------------------------------------------------------------===//
-// Bytecode-module encoding — the optional BCOD section
+// Bytecode-module encoding — the BCOD section
 //===----------------------------------------------------------------------===//
 
 /// Serializes one compiled bytecode module: protos, the flat code
@@ -194,6 +165,7 @@ std::shared_ptr<const bytecode::Module> readBytecodeModule(ByteReader &R);
 inline constexpr unsigned MaxBcProtos = 1u << 20;
 inline constexpr unsigned MaxBcCode = 1u << 26;
 inline constexpr unsigned MaxBcPool = 1u << 24;
+inline constexpr unsigned MaxSwitchAlts = 1u << 16;
 
 } // namespace levc
 } // namespace driver

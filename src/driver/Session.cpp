@@ -203,18 +203,16 @@ Compilation::machineTerm(std::string_view Name) const {
       return It->second;
   }
 
+  // Artifacts carry no M terms: a hydrated Compilation lowers from the
+  // rebuilt front end exactly as a fresh compile does. Rebuild before
+  // taking the lock, so lowering never waits on the rebuild under it.
+  ensureFrontEnd();
   std::unique_lock<std::shared_mutex> Lock(MP.LowerMutex);
   auto It = MP.MTerms.find(Name); // Re-check: we may have raced.
   if (It != MP.MTerms.end())
     return It->second;
 
   Result<const mcalc::Term *> Out = [&]() -> Result<const mcalc::Term *> {
-    // Hydrated artifacts pre-populate MTerms with *every* top-level
-    // binding; a slow-path miss can only be an unknown name, reported
-    // as CoreToL::lowerGlobal would. (Also keeps this path from racing
-    // the lazy front-end rebuild on Elaborated.)
-    if (Hydrated)
-      return err("no top-level binding named '" + std::string(Name) + "'");
     if (!Elaborated)
       return err("no compiled program");
     CoreToL Lower(C, MP.L);
@@ -246,9 +244,6 @@ Result<const mcalc::Term *> Compilation::formalMachineTerm() const {
 
 Result<const bytecode::Module *>
 Compilation::bytecodeModule(std::string_view Name) const {
-  // Lower to M *first*: machineTerm takes LowerMutex itself, so it must
-  // not be called under our own lock on the same (non-recursive) mutex.
-  Result<const mcalc::Term *> MT = machineTerm(Name);
   MachinePipeline &MP = machine();
   {
     // Hot path: already compiled (or hydrated from the BCOD section).
@@ -258,6 +253,9 @@ Compilation::bytecodeModule(std::string_view Name) const {
       return It->second ? Result<const bytecode::Module *>(It->second->get())
                         : err(It->second.error());
   }
+  // Lower to M outside our lock: machineTerm takes LowerMutex itself, and
+  // the mutex is not recursive.
+  Result<const mcalc::Term *> MT = machineTerm(Name);
   if (!MT)
     return err(MT.error());
 
@@ -439,8 +437,9 @@ std::shared_ptr<Compilation> Session::buildSource(std::string_view Source,
   NumCompilations.fetch_add(1, std::memory_order_relaxed);
 
   // Write-behind, the worker pool's only job: persist off the caller's
-  // critical path (the pool also forces the all-globals lowering there).
-  // flushStoreWrites() and the destructor are the completion barriers.
+  // critical path (the pool also compiles the user's bindings to
+  // bytecode there). flushStoreWrites() and the destructor are the
+  // completion barriers.
   if (Store && Comp->ok()) {
     {
       std::lock_guard<std::mutex> Lock(StoreFlushM);

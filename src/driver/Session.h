@@ -88,8 +88,10 @@ enum class Backend : uint8_t {
   TreeInterp,      ///< The instrumented big-step core evaluator.
   AbstractMachine, ///< core → L → ANF (Figure 7) → the M machine (Figure 6).
   Bytecode         ///< The M lowering compiled to flat bytecode and run on
-                   ///< the threaded VM (src/bytecode/). Out-of-fragment M
-                   ///< terms fall back to the term-graph machine.
+                   ///< the threaded VM (src/bytecode/): the production
+                   ///< engine, and the only code `.levc` artifacts store.
+                   ///< Out-of-fragment M terms fall back to the
+                   ///< term-graph machine.
 };
 
 std::string_view backendName(Backend B);
@@ -285,17 +287,18 @@ public:
 
   /// True when this Compilation was rehydrated from an on-disk `.levc`
   /// artifact (CompileOptions::StorePath) instead of built by the front
-  /// end. Hydrated compilations run on Backend::AbstractMachine with
-  /// *zero* front-end or lowering work; the first use that genuinely
-  /// needs core IR (a tree-interp run, program(), globalType()) rebuilds
-  /// the front end lazily, exactly once, thread-safely. That rebuild is
-  /// the only way a hydrated compilation gets core IR back: artifacts
-  /// carry M terms and bytecode, not the core program.
+  /// end. Artifacts carry only the bytecode of the user's bindings, so
+  /// Backend::Bytecode runs of those bindings do *zero* front-end,
+  /// lowering or bytecode-compile work. Every other use (a tree or
+  /// machine run, a prelude or out-of-bytecode-fragment global,
+  /// program(), globalType()) rebuilds the front end lazily, exactly
+  /// once, thread-safely, and then lowers as a fresh compile does.
   bool hydrated() const { return Hydrated; }
 
-  /// True when the artifact's BCOD section restored compiled bytecode
-  /// modules, so Backend::Bytecode runs execute with zero front-end,
-  /// lowering, *or bytecode-compilation* work.
+  /// True when hydration restored at least one compiled bytecode module
+  /// from the artifact's BCOD section, so Backend::Bytecode runs of those
+  /// bindings execute with zero front-end, lowering, *or
+  /// bytecode-compilation* work.
   bool hydratedBytecode() const { return HydratedBytecode; }
 
   /// Per-stage wall-clock timings, in pipeline order. For hydrated
@@ -310,12 +313,12 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Serializes this Compilation into the versioned `.levc` byte format.
-  /// Forces the M lowering of every top-level binding first (that is the
-  /// point: the artifact must make a cold process's runs lowering-free),
-  /// recording per-global failures verbatim so out-of-fragment programs
-  /// replay the same "not expressible in L" diagnostics. Thread-safe.
-  /// Fails for failed, formal, or programmatic compilations (no source
-  /// to key the store by).
+  /// Compiles every user binding to bytecode first (that is the point:
+  /// the artifact must make a cold process's bytecode runs compile-free);
+  /// bindings outside the bytecode fragment are left out and rebuilt
+  /// lazily on hydration. Thread-safe. Fails for failed, formal,
+  /// programmatic (no source to key the store by) and hydrated
+  /// compilations.
   Result<std::string> serializeArtifact() const;
 
   /// Rebuilds a runnable Compilation from serializeArtifact() bytes.
@@ -415,15 +418,18 @@ private:
   void ensureFrontEnd() const;
 
   /// Lowers+compiles a global for the M machine, memoized per name.
-  /// Thread-safe: lowering is serialized behind the pipeline's mutex.
+  /// Thread-safe: lowering is serialized behind the pipeline's mutex. On
+  /// a hydrated Compilation this first rebuilds the front end.
   Result<const mcalc::Term *> machineTerm(std::string_view Name) const;
   /// compileFormal's term, compiled to M (memoized, thread-safe).
   Result<const mcalc::Term *> formalMachineTerm() const;
 
-  /// The bytecode module for a global's M term, memoized per name
-  /// (thread-safe like machineTerm). Fails when the M lowering itself
-  /// failed *or* when the term is outside the bytecode fragment — the
-  /// Executor distinguishes the two by consulting machineTerm.
+  /// The bytecode module for a global, memoized per name (thread-safe
+  /// like machineTerm). A memo hit — hydrated modules included — does no
+  /// lowering; a miss lowers through machineTerm. Fails when the M
+  /// lowering itself failed *or* when the term is outside the bytecode
+  /// fragment — the Executor distinguishes the two by consulting
+  /// machineTerm.
   Result<const bytecode::Module *> bytecodeModule(std::string_view Name) const;
   /// compileFormal's term, compiled to bytecode (memoized, thread-safe).
   Result<const bytecode::Module *> formalBytecodeModule() const;
@@ -526,7 +532,8 @@ struct CatalogAnalysis {
 /// With CompileOptions::StorePath set, the in-memory cache is backed by
 /// a persistent on-disk store shared across processes: misses first try
 /// to rehydrate a `.levc` artifact (Stats::DiskHits — compiling becomes
-/// deserialization, with zero front-end or lowering work), and fresh
+/// deserialization of the user's bytecode, with zero front-end or
+/// lowering work until a run needs more), and fresh
 /// compiles are persisted write-behind on the worker pool
 /// (flushStoreWrites() is the completion barrier).
 class Session {

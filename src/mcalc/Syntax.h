@@ -61,9 +61,9 @@ namespace mcalc {
 /// class, so substitution always moves data of known width (Section 6.2).
 ///
 /// The numeric values are **stable on-disk tags**: they appear verbatim in
-/// serialized `.levc` artifacts (driver/Serialize.h, docs/ARTIFACT_FORMAT.md).
-/// Never renumber an existing sort; append new sorts at the end and bump
-/// the artifact pipeline fingerprint.
+/// the bytecode slot sorts of `.levc` artifacts (driver/Serialize.h,
+/// docs/ARTIFACT_FORMAT.md). Never renumber an existing sort; append new
+/// sorts at the end.
 enum class VarSort : uint8_t {
   Ptr = 0, ///< p — points to a heap object (thunk or value).
   Int = 1, ///< i — holds an unboxed machine integer.
@@ -94,11 +94,6 @@ struct MVar {
 /// t — an M term.
 class Term {
 public:
-  /// The numeric values are **stable on-disk tags**: each serialized M
-  /// node in a `.levc` artifact starts with its TermKind byte
-  /// (driver/Serialize.h, docs/ARTIFACT_FORMAT.md). Never renumber an
-  /// existing kind; append new kinds at the end and bump the artifact
-  /// pipeline fingerprint.
   enum class TermKind : uint8_t {
     AppVar = 0,  ///< t y
     AppLit = 1,  ///< t n
@@ -119,10 +114,6 @@ public:
     Con = 16,    ///< CON k [a1, …, an] — n-ary tagged constructor
     Switch = 17  ///< switch t of { alt; …; _ → t } — tag dispatch
   };
-
-  /// Number of TermKind values; folded into the artifact fingerprint so a
-  /// new node kind invalidates stale stores.
-  static constexpr unsigned NumTermKinds = 18;
 
   TermKind kind() const { return Kind; }
 
@@ -376,9 +367,9 @@ private:
 /// the ANF discipline — every data movement has a known width — is
 /// preserved.
 ///
-/// The numeric values are **stable on-disk tags** (see TermKind): never
-/// renumber an existing op; append new ops at the end and bump the
-/// artifact pipeline fingerprint.
+/// The numeric values are **stable on-disk tags** (see VarSort): bytecode
+/// primop instructions carry them. Never renumber an existing op; append
+/// new ops at the end.
 enum class MPrim : uint8_t {
   Add = 0, Sub = 1, Mul = 2, Quot = 3, Rem = 4,
   Lt = 5, Le = 6, Gt = 7, Ge = 8, Eq = 9, Ne = 10,
@@ -485,7 +476,8 @@ private:
 
 /// One alternative of a switch: a constructor-tag pattern with one
 /// binder per field, or an Int#/Double# literal pattern. The numeric
-/// PatKind values are **stable on-disk tags** (see TermKind).
+/// PatKind values are **stable on-disk tags** (see VarSort): bytecode
+/// switch tables carry them.
 struct MAlt {
   enum class PatKind : uint8_t {
     Con = 0, ///< CON Tag [Binders] → Body.
@@ -561,24 +553,6 @@ public:
   MVar freshDbl() {
     return {Symbols.intern("f" + std::to_string(Counter++)), VarSort::Dbl};
   }
-  /// The current fresh-name counter. Serialized into `.levc` artifacts so
-  /// a hydrating context can reserveNames() past every name the original
-  /// lowering minted.
-  uint64_t nameCounter() const {
-    return Counter.load(std::memory_order_relaxed);
-  }
-  /// Advances the fresh-name counter to at least \p N. Deserialized terms
-  /// contain p/i/f names minted by the *original* context's counter; the
-  /// machine mints heap addresses from *this* counter at run time, so the
-  /// hydrated context must skip the already-used range or a runtime
-  /// address could collide with a stored binder.
-  void reserveNames(uint64_t N) {
-    uint64_t Cur = Counter.load(std::memory_order_relaxed);
-    while (Cur < N &&
-           !Counter.compare_exchange_weak(Cur, N, std::memory_order_relaxed))
-      ;
-  }
-
   /// Makes a fresh variable of the same sort as \p Like.
   MVar freshLike(MVar Like) {
     switch (Like.Sort) {

@@ -177,15 +177,6 @@ void FrameReader::append(std::string_view Bytes) {
   Buf.append(Bytes);
 }
 
-std::optional<std::string> FrameReader::takeLine() {
-  size_t Nl = Buf.find('\n', Pos);
-  if (Nl == std::string::npos)
-    return std::nullopt;
-  std::string Line = Buf.substr(Pos, Nl - Pos);
-  Pos = Nl + 1;
-  return Line;
-}
-
 std::optional<Result<Request>> FrameReader::next() {
   // Resync mode: a prior frame was malformed mid-stream (over-long line
   // or bad payload terminator, both already reported). Silently discard

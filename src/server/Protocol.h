@@ -131,16 +131,9 @@ public:
   /// bytes do not yet hold a whole frame.
   std::optional<Result<Request>> next();
 
-  /// True when bytes are buffered (a frame *may* be pending; next()
-  /// decides). Used by the server to drain pipelined frames before
-  /// blocking in read().
-  bool hasBuffered() const { return Pos < Buf.size(); }
-
   const FrameLimits &limits() const { return Limits; }
 
 private:
-  std::optional<std::string> takeLine();
-
   FrameLimits Limits;
   std::string Buf;
   size_t Pos = 0;       ///< Consumed prefix of Buf.
@@ -157,7 +150,6 @@ public:
 
   void append(std::string_view Bytes);
   std::optional<Result<Response>> next();
-  bool hasBuffered() const { return Pos < Buf.size(); }
 
 private:
   size_t MaxPayloadBytes;

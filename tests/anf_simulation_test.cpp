@@ -15,16 +15,24 @@
 // Joinability t ⇔ t' is approximated by the observational oracle in
 // anf/Joinability.h. We additionally check full-run agreement: the L
 // evaluator's final outcome matches the M machine's on the compiled term.
+// Finally the bytecode tier, the only code a `.levc` artifact persists,
+// is held to the machine as its oracle: every generated term's M form
+// compiles to bytecode, survives the BCOD encode → decode → validate
+// round trip, and runs to the machine's outcome.
 //
 //===----------------------------------------------------------------------===//
 
 #include "anf/Compile.h"
 #include "anf/Joinability.h"
+#include "bytecode/Vm.h"
+#include "driver/Serialize.h"
 #include "lcalc/Eval.h"
 #include "lcalc/Gen.h"
 #include "mcalc/Machine.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 using namespace levity;
 
@@ -138,6 +146,77 @@ TEST_P(SimulationTest, FullRunAgreement) {
         << "final values disagree for " << G.E->str() << "\n  L value: "
         << LR.Last->str() << "\n  detail: " << J.Detail;
   }
+}
+
+// Bytecode agreement: the compiled M term becomes a bytecode module that
+// round-trips through the BCOD codec and runs to the machine's outcome.
+TEST_P(SimulationTest, BytecodeAgreesWithTheMachine) {
+  lcalc::LContext L;
+  mcalc::MContext MC;
+  anf::Compiler Comp(L, MC);
+  mcalc::Machine M(MC);
+  bytecode::Vm OrigVm, BackVm;
+  lcalc::TermGen::Options Opts;
+  Opts.MaxDepth = GetParam().MaxDepth;
+  lcalc::TermGen Gen(L, GetParam().Seed ^ 0xb17ec0deull, Opts);
+
+  using VmOut = bytecode::VmResult::Outcome;
+  using MOut = mcalc::MachineOutcome;
+  unsigned Bottoms = 0, Scalars = 0;
+  for (unsigned I = 0; I != TermsPerCase; ++I) {
+    lcalc::TermGen::Generated G = Gen.generate();
+    SCOPED_TRACE(G.E->str());
+    Result<const mcalc::Term *> T = Comp.compileClosed(G.E);
+    ASSERT_TRUE(T.ok()) << T.error();
+    Result<std::shared_ptr<const bytecode::Module>> Mod = bytecode::compile(*T);
+    ASSERT_TRUE(Mod.ok()) << "bytecode compiler refused: " << Mod.error();
+
+    driver::levc::ByteWriter W;
+    driver::levc::writeBytecodeModule(W, **Mod);
+    driver::levc::ByteReader R(W.bytes());
+    std::shared_ptr<const bytecode::Module> Back =
+        driver::levc::readBytecodeModule(R);
+    ASSERT_NE(Back, nullptr) << "the decoder rejected a compiled module";
+    EXPECT_TRUE(R.atEnd());
+
+    bytecode::VmResult VR = OrigVm.run(**Mod, 1000000);
+    bytecode::VmResult BR = BackVm.run(*Back, 1000000);
+    ASSERT_EQ(VR.Out, BR.Out);
+    EXPECT_EQ(VR.Stats.Steps, BR.Stats.Steps);
+    EXPECT_EQ(VR.ErrorMessage, BR.ErrorMessage);
+
+    mcalc::MachineResult MR = M.run(*T, 1000000);
+    ASSERT_NE(VR.Out, VmOut::Stuck) << VR.StuckReason;
+    switch (MR.Status) {
+    case MOut::Value:
+      ASSERT_EQ(VR.Out, VmOut::Value);
+      break;
+    case MOut::Bottom:
+      ASSERT_EQ(VR.Out, VmOut::Bottom);
+      EXPECT_EQ(VR.ErrorMessage, MR.ErrorMessage);
+      ++Bottoms;
+      continue;
+    case MOut::OutOfFuel:
+      EXPECT_EQ(VR.Out, VmOut::OutOfFuel);
+      continue;
+    case MOut::Stuck:
+      FAIL() << "machine stuck: " << MR.StuckReason;
+    }
+    if (const auto *Lit = mcalc::dyn_cast<mcalc::LitTerm>(MR.Value)) {
+      ASSERT_TRUE(VR.Final.isInt());
+      EXPECT_EQ(VR.Final.I, Lit->value());
+      ++Scalars;
+    } else if (const auto *DLit = mcalc::dyn_cast<mcalc::DLitTerm>(MR.Value)) {
+      ASSERT_TRUE(VR.Final.isDbl());
+      EXPECT_TRUE(VR.Final.D == DLit->value() ||
+                  (std::isnan(VR.Final.D) && std::isnan(DLit->value())))
+          << VR.Final.D << " vs " << DLit->value();
+      ++Scalars;
+    }
+  }
+  // Both kinds of comparison must actually happen, or the test is vacuous.
+  EXPECT_GT(Bottoms, 0u);
+  EXPECT_GT(Scalars, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

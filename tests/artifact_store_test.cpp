@@ -9,16 +9,19 @@
 //
 //   * Round trip: every program in the shared differential corpus goes
 //     through serialize → deserialize → run and the hydrated RunResults
-//     are identical to the originals on both backends (including error
-//     messages on ⊥ and the pinned "not expressible in L" diagnostics).
+//     are identical to the originals on all three backends (including
+//     error messages on ⊥ and the pinned "not expressible in L"
+//     diagnostics).
 //   * Cold-process warm-store: a fresh Session over a populated store
 //     compiles the whole corpus with *zero* front-end runs — disk hits
 //     equal the corpus size in Session::Stats.
+//   * Contents: an artifact stores the bytecode of the user's bindings
+//     only, whatever the session's default backend.
 //   * Robustness: corrupt, truncated, wrong-version, wrong-fingerprint,
-//     and wrong-source entries are all treated as misses and fall back
-//     to a clean recompile, and every re-sealed single-byte flip of an
-//     artifact either misses or hydrates into runs that end in a
-//     result. Never a crash, never a wrong answer.
+//     wrong-source and malformed-BCOD entries are all treated as misses
+//     and fall back to a clean recompile, and every re-sealed single-byte
+//     flip of an artifact either misses or hydrates into runs that end
+//     in a result. Never a crash, never a wrong answer.
 //   * Policy: write-behind completes at flushStoreWrites();
 //     MaxStoredArtifacts evicts oldest entries and counts them.
 //
@@ -67,16 +70,6 @@ CompileOptions storeOptions(const std::string &Dir) {
   return Opts;
 }
 
-/// Store options for a Backend::Bytecode session: only these serialize
-/// a BCOD section eagerly (other sessions persist just the bytecode
-/// they already compiled, which for a freshly compiled-then-flushed
-/// artifact is none).
-CompileOptions bytecodeStoreOptions(const std::string &Dir) {
-  CompileOptions Opts = storeOptions(Dir);
-  Opts.DefaultBackend = Backend::Bytecode;
-  return Opts;
-}
-
 /// Asserts two RunResults are observably identical (status, values,
 /// display, and failure text).
 void expectSameRunResult(const RunResult &A, const RunResult &B,
@@ -94,7 +87,7 @@ void expectSameRunResult(const RunResult &A, const RunResult &B,
 }
 
 //===----------------------------------------------------------------------===//
-// Round trip: the whole corpus, both backends
+// Round trip: the whole corpus, all three backends
 //===----------------------------------------------------------------------===//
 
 class ArtifactRoundTripTest
@@ -121,7 +114,8 @@ TEST_P(ArtifactRoundTripTest, SerializeDeserializeRunIdentical) {
   EXPECT_EQ(St.DiskHits, 1u);
   EXPECT_EQ(St.Compilations, 0u);
 
-  // The machine result must replay identically with zero re-lowering.
+  // Machine runs rebuild the front end lazily and lower as a fresh
+  // compile does, so they replay identically.
   RunResult HydMach = Hyd->run(P.Global, Backend::AbstractMachine);
   expectSameRunResult(OrigMach, HydMach, "abstract machine");
   if (!P.InFragment) {
@@ -130,10 +124,8 @@ TEST_P(ArtifactRoundTripTest, SerializeDeserializeRunIdentical) {
         << HydMach.Error;
   }
 
-  // Bytecode runs replay identically too — recompiled lazily from the
-  // restored M terms (this tree-backend session's artifact carries no
-  // BCOD section; BytecodeSectionServesVmRunsWithZeroLowering covers
-  // the hydrated-bytecode path).
+  // Bytecode runs replay identically too: from the stored module for an
+  // in-fragment user binding, and through the lazy rebuild otherwise.
   RunResult HydBc = Hyd->run(P.Global, Backend::Bytecode);
   expectSameRunResult(OrigBc, HydBc, "bytecode vm");
   EXPECT_EQ(OrigBc.Used, HydBc.Used);
@@ -174,12 +166,14 @@ TEST(ArtifactStoreTest, ColdSessionWarmStoreRunsCorpusWithZeroRelowerings) {
     auto Comp = Cold.compile(P.Source);
     ASSERT_TRUE(Comp->ok()) << P.Label;
     ASSERT_TRUE(Comp->hydrated()) << P.Label;
-    RunResult R = Comp->run(P.Global, Backend::AbstractMachine);
-    if (P.InFragment)
+    RunResult R = Comp->run(P.Global, Backend::Bytecode);
+    if (P.InFragment) {
+      EXPECT_TRUE(Comp->hydratedBytecode()) << P.Label;
       EXPECT_NE(R.St, RunResult::Status::Unsupported)
           << P.Label << ": " << R.Error;
-    else
+    } else {
       EXPECT_EQ(R.St, RunResult::Status::Unsupported) << P.Label;
+    }
   }
   Session::Stats St = Cold.stats();
   EXPECT_EQ(St.DiskHits, CorpusSize) << "every compile must be a disk hit";
@@ -194,9 +188,8 @@ TEST(ArtifactStoreTest, ColdSessionWarmStoreRunsCorpusWithZeroRelowerings) {
 //===----------------------------------------------------------------------===//
 
 /// Populates a store with one program and returns its entry path.
-std::string populateOne(const std::string &Dir, const char *Source,
-                        bool Bytecode = false) {
-  Session S(Bytecode ? bytecodeStoreOptions(Dir) : storeOptions(Dir));
+std::string populateOne(const std::string &Dir, const char *Source) {
+  Session S(storeOptions(Dir));
   EXPECT_TRUE(S.compile(Source)->ok());
   S.flushStoreWrites();
   ArtifactStore Store(Dir);
@@ -284,16 +277,17 @@ TEST(ArtifactStoreTest, WrongFormatVersionFallsBackToRecompile) {
 
 TEST(ArtifactStoreTest, PreviousFormatVersionArtifactRejected) {
   // Version skew: an artifact carrying the previous release's format
-  // version (v2, before the BCOD bytecode section) must be treated as a
-  // miss and recompiled cleanly — even with a valid checksum.
-  static_assert(levc::FormatVersion == 3,
+  // version (v3, with M terms and an optional BCOD section) must be
+  // treated as a miss and recompiled cleanly — even with a valid
+  // checksum.
+  static_assert(levc::FormatVersion == 4,
                 "update this test when bumping the format version");
   std::string Dir = freshStoreDir("oldversion");
   std::string Path = populateOne(Dir, RobustSrc);
 
   std::string Bytes = *support::readFileBinary(Path);
   ASSERT_TRUE(support::writeFileAtomic(
-      Path, patchAndReseal(Bytes, 4, /*Value=*/2, 4)));
+      Path, patchAndReseal(Bytes, 4, /*Value=*/3, 4)));
 
   // Direct deserialization also refuses it.
   std::string Patched = *support::readFileBinary(Path);
@@ -352,14 +346,14 @@ TEST(ArtifactStoreTest, WrongSourceEntryFallsBackToRecompile) {
 
 TEST(ArtifactStoreTest, EveryResealedByteFlipHydratesSafelyOrMisses) {
   // Whole-artifact mutation: flip each byte (XOR 0x01/0x80/0xFF) and
-  // re-seal the checksum, so the corruption reaches the META, TYPE,
-  // MTRM and BCOD decoders instead of stopping at the trailer. Every
-  // mutant must be a miss (null) or a Compilation whose bytecode and
-  // machine runs, at small fuel, end in a RunResult.
+  // re-seal the checksum, so the corruption reaches the META, TYPE and
+  // BCOD decoders instead of stopping at the trailer. Every mutant must
+  // be a miss (null) or a Compilation whose bytecode and machine runs,
+  // at small fuel, end in a RunResult.
   const char *Src = "data L = N | C Int# L ;"
                     "v = case C 1# N of { N -> 0# ; C y ys -> y }";
   std::string Dir = freshStoreDir("mutate");
-  std::string Path = populateOne(Dir, Src, /*Bytecode=*/true);
+  std::string Path = populateOne(Dir, Src);
   std::string Bytes = *support::readFileBinary(Path);
   fs::remove_all(Dir);
   ASSERT_NE(findSectionPayload(Bytes, levc::SecBytecode), 0u)
@@ -623,8 +617,8 @@ TEST(ArtifactStoreTest, HydratedMetadataSurvivesWithoutFrontEnd) {
   EXPECT_NE(Report.find("elaborate+check"), std::string::npos) << Report;
   EXPECT_NE(Report.find("hydrate"), std::string::npos) << Report;
 
-  // Unknown globals fail with a diagnostic, not a crash, and without a
-  // front-end rebuild the message still matches a fresh compile's.
+  // Unknown globals fail with a diagnostic, not a crash: the run rebuilds
+  // the front end, so the message matches a fresh compile's.
   RunResult R = Comp->run("nonexistent", Backend::AbstractMachine);
   EXPECT_EQ(R.St, RunResult::Status::Unsupported);
   EXPECT_NE(R.Error.find("no top-level binding named"), std::string::npos)
@@ -632,12 +626,41 @@ TEST(ArtifactStoreTest, HydratedMetadataSurvivesWithoutFrontEnd) {
   fs::remove_all(Dir);
 }
 
+TEST(ArtifactStoreTest, ConcurrentRunsShareOneLazyRebuild) {
+  // Threads running one hydrated Compilation on every backend at once:
+  // the tree and machine runs race the one lazy front-end rebuild and the
+  // lowering behind it, the bytecode runs use the stored module.
+  // (TSan-covered in CI.)
+  std::string Dir = freshStoreDir("rebuildrace");
+  populateOne(Dir, RobustSrc);
+  Session S(storeOptions(Dir));
+  auto Comp = S.compile(RobustSrc);
+  ASSERT_TRUE(Comp->hydrated());
+
+  constexpr Backend Backends[] = {Backend::AbstractMachine,
+                                  Backend::TreeInterp, Backend::Bytecode};
+  std::vector<RunResult> Results(6);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T != Results.size(); ++T)
+    Threads.emplace_back([&, T] {
+      Results[T] = Comp->run("v", Backends[T % std::size(Backends)]);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const RunResult &R : Results) {
+    EXPECT_TRUE(R.ok()) << R.Error;
+    EXPECT_EQ(R.IntValue.value_or(-1), 5050);
+  }
+  EXPECT_EQ(S.stats().Compilations, 0u);
+  fs::remove_all(Dir);
+}
+
 TEST(ArtifactStoreTest, BytecodeSectionServesVmRunsWithZeroLowering) {
-  // PR 6: the BCOD section restores compiled bytecode modules, so a
-  // cold process's Backend::Bytecode runs execute with zero front-end,
+  // The BCOD section restores compiled bytecode modules, so a cold
+  // process's Backend::Bytecode runs execute with zero front-end,
   // lowering, or bytecode-compilation work.
   std::string Dir = freshStoreDir("bcodsec");
-  Session Warm(bytecodeStoreOptions(Dir));
+  Session Warm(storeOptions(Dir));
   auto Orig = Warm.compile(RobustSrc);
   ASSERT_TRUE(Orig->ok());
   RunResult OrigBc = Orig->run("v", Backend::Bytecode);
@@ -645,7 +668,7 @@ TEST(ArtifactStoreTest, BytecodeSectionServesVmRunsWithZeroLowering) {
   ASSERT_EQ(OrigBc.Used, Backend::Bytecode);
   Warm.flushStoreWrites();
 
-  Session Cold(bytecodeStoreOptions(Dir));
+  Session Cold(storeOptions(Dir));
   auto Hyd = Cold.compile(RobustSrc);
   ASSERT_TRUE(Hyd->ok());
   ASSERT_TRUE(Hyd->hydrated());
@@ -662,7 +685,13 @@ TEST(ArtifactStoreTest, BytecodeSectionServesVmRunsWithZeroLowering) {
       ++ThisProcessStages;
   EXPECT_EQ(ThisProcessStages, 1u) << Hyd->timingReport();
 
+  // The run neither lowers nor rebuilds: no allocation in the core or L
+  // context (runBytecode must look the module up before lowering).
+  size_t CoreBytes = Hyd->ctx().arena().bytesUsed();
+  size_t LBytes = Hyd->lctx().arena().bytesUsed();
   RunResult HydBc = Hyd->run("v", Backend::Bytecode);
+  EXPECT_EQ(Hyd->ctx().arena().bytesUsed(), CoreBytes);
+  EXPECT_EQ(Hyd->lctx().arena().bytesUsed(), LBytes);
   expectSameRunResult(OrigBc, HydBc, "bytecode via BCOD section");
   EXPECT_EQ(HydBc.Used, Backend::Bytecode);
   EXPECT_EQ(HydBc.IntValue.value_or(-1), 5050);
@@ -671,34 +700,84 @@ TEST(ArtifactStoreTest, BytecodeSectionServesVmRunsWithZeroLowering) {
   fs::remove_all(Dir);
 }
 
-TEST(ArtifactStoreTest, NonBytecodeSessionsSerializeWithoutBytecodeWork) {
-  // Serialization must not eagerly compile bytecode for sessions that
-  // never use Backend::Bytecode: a tree-backend compile-then-flush
-  // produces an artifact with no BCOD section at all (nothing was
-  // memoized, nothing is persisted) — and it still hydrates and runs.
-  std::string Dir = freshStoreDir("nobcod");
-  std::string Path = populateOne(Dir, RobustSrc);
+/// The binding names in an artifact's BCOD section, in stored order.
+std::vector<std::string> bytecodeSectionNames(const std::string &Bytes) {
+  size_t Off = findSectionPayload(Bytes, levc::SecBytecode);
+  EXPECT_NE(Off, 0u) << "every artifact carries a BCOD section";
+  levc::ByteReader R(std::string_view(Bytes).substr(Off));
+  std::vector<std::string> Names(R.u32());
+  for (std::string &Name : Names) {
+    Name = R.str();
+    EXPECT_NE(levc::readBytecodeModule(R), nullptr) << Name;
+  }
+  EXPECT_TRUE(R.ok());
+  return Names;
+}
 
+TEST(ArtifactStoreTest, TreeSessionArtifactStoresOnlyUserBytecode) {
+  // The VM is the production engine, so a tree-backend session's
+  // artifact carries BCOD too: one module per user binding, none for the
+  // prelude's globals (plusInt, id, $, ...).
+  std::string Dir = freshStoreDir("userbcod");
+  std::string Path = populateOne(Dir, RobustSrc);
   std::string Bytes = *support::readFileBinary(Path);
-  EXPECT_EQ(findSectionPayload(Bytes, levc::SecBytecode), 0u)
-      << "tree-backend artifact must not carry a BCOD section";
+  EXPECT_EQ(bytecodeSectionNames(Bytes),
+            (std::vector<std::string>{"sumToH", "v"}));
 
   Session S(storeOptions(Dir));
   auto Comp = S.compile(RobustSrc);
-  ASSERT_TRUE(Comp->ok());
   ASSERT_TRUE(Comp->hydrated());
-  EXPECT_FALSE(Comp->hydratedBytecode());
+  EXPECT_TRUE(Comp->hydratedBytecode());
   EXPECT_EQ(Comp->run("v", Backend::Bytecode).IntValue.value_or(-1), 5050);
+  fs::remove_all(Dir);
+}
+
+TEST(ArtifactStoreTest, ArtifactHoldsFourSectionsAndOnlyUserBytecode) {
+  // A list-length program: its artifact is SRC, META, TYPE and BCOD, in
+  // that order, and BCOD holds modules for `len` and `v` alone.
+  const char *Src = "data L = N | C Int L ;"
+                    "len :: L -> Int# ;"
+                    "len xs = case xs of { N -> 0# ; C y ys -> 1# +# len ys } ;"
+                    "v = len (C (I# 1#) (C (I# 2#) N))";
+  std::string Dir = freshStoreDir("sections");
+  std::string Bytes = *support::readFileBinary(populateOne(Dir, Src));
+  fs::remove_all(Dir);
+
+  std::vector<uint32_t> Ids;
+  levc::ByteReader R(std::string_view(Bytes).substr(24));
+  for (uint32_t I = 0, N = R.u32(); R.ok() && I != N; ++I) {
+    Ids.push_back(R.u32());
+    R.raw(R.u64());
+  }
+  EXPECT_EQ(Ids, (std::vector<uint32_t>{levc::SecSource, levc::SecMeta,
+                                        levc::SecTypes, levc::SecBytecode}));
+  EXPECT_EQ(bytecodeSectionNames(Bytes),
+            (std::vector<std::string>{"len", "v"}));
+  EXPECT_LT(Bytes.size(), 4096u);
+}
+
+TEST(ArtifactStoreTest, ArtifactWithoutBytecodeSectionIsAMiss) {
+  // BCOD is mandatory: drop it (it is the last section), fix the section
+  // count and re-seal, and the artifact must recompile.
+  std::string Dir = freshStoreDir("nobcod");
+  std::string Path = populateOne(Dir, RobustSrc);
+  std::string Bytes = *support::readFileBinary(Path);
+  size_t BcOff = findSectionPayload(Bytes, levc::SecBytecode);
+  ASSERT_NE(BcOff, 0u);
+  std::string Stripped = Bytes.substr(0, BcOff - 12) + std::string(8, '\0');
+  ASSERT_TRUE(support::writeFileAtomic(
+      Path, patchAndReseal(Stripped, 24, /*Value=*/3, 4)));
+
+  expectFallbackRecompile(Dir);
   fs::remove_all(Dir);
 }
 
 TEST(ArtifactStoreTest, MalformedBytecodeSectionFallsBackToRecompiling) {
   // A BCOD section that passes the container checksum but fails the
-  // module decode must be ignored wholesale: hydration still succeeds,
-  // and Backend::Bytecode runs recompile lazily from the restored M
-  // terms — same answers, never a crash, never a miscompile.
+  // module decode makes the whole artifact a miss: the compile runs the
+  // front end again — same answers, never a crash, never a miscompile.
   std::string Dir = freshStoreDir("badbcod");
-  std::string Path = populateOne(Dir, RobustSrc, /*Bytecode=*/true);
+  std::string Path = populateOne(Dir, RobustSrc);
 
   std::string Bytes = *support::readFileBinary(Path);
   size_t BcOff = findSectionPayload(Bytes, levc::SecBytecode);
@@ -708,24 +787,15 @@ TEST(ArtifactStoreTest, MalformedBytecodeSectionFallsBackToRecompiling) {
   ASSERT_TRUE(support::writeFileAtomic(
       Path, patchAndReseal(Bytes, BcOff, 0xFFFFFFFFull, 4)));
 
-  Session S(storeOptions(Dir));
-  auto Comp = S.compile(RobustSrc);
-  ASSERT_TRUE(Comp->ok());
-  ASSERT_TRUE(Comp->hydrated());
-  EXPECT_FALSE(Comp->hydratedBytecode());
-  RunResult R = Comp->run("v", Backend::Bytecode);
-  ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_EQ(R.Used, Backend::Bytecode);
-  EXPECT_EQ(R.IntValue.value_or(-1), 5050);
+  expectFallbackRecompile(Dir);
   fs::remove_all(Dir);
 }
 
 TEST(ArtifactStoreTest, TruncatedBytecodeModuleFallsBackToRecompiling) {
   // Same contract when a module *inside* the section is cut short: the
-  // sticky-fail reader rejects it, the section is ignored, and the
-  // lazy recompile serves the run.
+  // sticky-fail reader rejects it and the artifact is a miss.
   std::string Dir = freshStoreDir("shortbcod");
-  std::string Path = populateOne(Dir, RobustSrc, /*Bytecode=*/true);
+  std::string Path = populateOne(Dir, RobustSrc);
 
   std::string Bytes = *support::readFileBinary(Path);
   size_t BcOff = findSectionPayload(Bytes, levc::SecBytecode);
@@ -735,12 +805,7 @@ TEST(ArtifactStoreTest, TruncatedBytecodeModuleFallsBackToRecompiling) {
   ASSERT_TRUE(support::writeFileAtomic(
       Path, patchAndReseal(Bytes, BcOff + 4, 0x00FFFFFFull, 4)));
 
-  Session S(storeOptions(Dir));
-  auto Comp = S.compile(RobustSrc);
-  ASSERT_TRUE(Comp->ok());
-  ASSERT_TRUE(Comp->hydrated());
-  EXPECT_FALSE(Comp->hydratedBytecode());
-  EXPECT_EQ(Comp->run("v", Backend::Bytecode).IntValue.value_or(-1), 5050);
+  expectFallbackRecompile(Dir);
   fs::remove_all(Dir);
 }
 
@@ -870,105 +935,6 @@ TEST(ArtifactStoreTest, SerializeRejectsFormalAndProgrammaticCompilations) {
     return P;
   });
   EXPECT_FALSE(Prog->serializeArtifact().ok());
-}
-
-//===----------------------------------------------------------------------===//
-// The byte-level term codec
-//===----------------------------------------------------------------------===//
-
-TEST(ArtifactSerializeTest, TermCodecRoundTripsEveryNodeKind) {
-  mcalc::MContext Src, Dst;
-  mcalc::MVar P = Src.freshPtr(), I = Src.freshInt(), F = Src.freshDbl();
-
-  // One term touching every TermKind and both atom payloads.
-  // A constructor with a pointer, an unboxed-literal, and a double
-  // field, scrutinized by a switch with every pattern sort.
-  mcalc::MAtom ConAtoms[] = {mcalc::MAtom::anyVar(P), mcalc::MAtom::lit(9),
-                             mcalc::MAtom::dlit(0.5)};
-  mcalc::MVar BP = Src.freshPtr(), BI = Src.freshInt(),
-              BF = Src.freshDbl();
-  mcalc::MVar SwBinders[] = {BP, BI, BF};
-  mcalc::MAlt Alts[3];
-  Alts[0].Pat = mcalc::MAlt::PatKind::Con;
-  Alts[0].Tag = 2;
-  Alts[0].Binders = std::span<const mcalc::MVar>(SwBinders, 3);
-  Alts[0].Body = Src.var(BP);
-  Alts[1].Pat = mcalc::MAlt::PatKind::Int;
-  Alts[1].IntVal = -4;
-  Alts[1].Body = Src.lit(1);
-  Alts[2].Pat = mcalc::MAlt::PatKind::Dbl;
-  Alts[2].DblVal = 2.25;
-  Alts[2].Body = Src.dlit(3.5);
-  const mcalc::Term *Sw =
-      Src.switchOf(Src.con(2, ConAtoms), Alts, Src.lit(0));
-
-  const mcalc::Term *T = Src.let(
-      P,
-      Src.letRec(Src.freshPtr(),
-                 Src.lam(I, Src.if0(Src.var(I),
-                                    Src.prim(mcalc::MPrim::Add,
-                                             mcalc::MAtom::var(I),
-                                             mcalc::MAtom::lit(3)),
-                                    Src.error(Src.symbols().intern("boom")))),
-                 Src.appLit(Src.appDbl(Src.appVar(Src.var(P), P), 2.5), 7)),
-      Src.letBang(
-          I,
-          Src.caseOf(Src.conLit(4), I,
-                     Src.prim(mcalc::MPrim::DMul, mcalc::MAtom::var(F),
-                              mcalc::MAtom::dlit(1.5))),
-          Src.let(Src.freshPtr(), Sw, Src.conVar(I))));
-
-  levc::ByteWriter W;
-  levc::writeTerm(W, T);
-  levc::ByteReader R(W.bytes());
-  const mcalc::Term *Back = levc::readTerm(R, Dst);
-  ASSERT_NE(Back, nullptr);
-  EXPECT_TRUE(R.ok());
-  EXPECT_TRUE(R.atEnd());
-  EXPECT_EQ(T->str(), Back->str());
-}
-
-TEST(ArtifactSerializeTest, TermCodecRejectsMalformedInput) {
-  mcalc::MContext Ctx;
-
-  { // Unknown tag byte.
-    levc::ByteReader R("\xff");
-    EXPECT_EQ(levc::readTerm(R, Ctx), nullptr);
-    EXPECT_FALSE(R.ok());
-  }
-  { // Truncated: a Lam with no body.
-    levc::ByteWriter W;
-    W.u8(static_cast<uint8_t>(mcalc::Term::TermKind::Lam));
-    W.str("p0");
-    W.u8(static_cast<uint8_t>(mcalc::VarSort::Ptr));
-    levc::ByteReader R(W.bytes());
-    EXPECT_EQ(levc::readTerm(R, Ctx), nullptr);
-  }
-  { // Invalid sort byte.
-    levc::ByteWriter W;
-    W.u8(static_cast<uint8_t>(mcalc::Term::TermKind::Var));
-    W.str("x");
-    W.u8(9);
-    levc::ByteReader R(W.bytes());
-    EXPECT_EQ(levc::readTerm(R, Ctx), nullptr);
-  }
-  { // A lazy let binding a non-pointer must be rejected (machine LET
-    // rule precondition).
-    levc::ByteWriter W;
-    W.u8(static_cast<uint8_t>(mcalc::Term::TermKind::Let));
-    W.str("i0");
-    W.u8(static_cast<uint8_t>(mcalc::VarSort::Int));
-    levc::ByteReader R(W.bytes());
-    EXPECT_EQ(levc::readTerm(R, Ctx), nullptr);
-  }
-  { // Over-deep nesting must fail instead of overflowing the C++ stack:
-    // a long chain of Case headers, each expecting a scrutinee.
-    levc::ByteWriter W;
-    for (unsigned I = 0; I != levc::MaxTermDepth + 8; ++I)
-      W.u8(static_cast<uint8_t>(mcalc::Term::TermKind::Case));
-    levc::ByteReader R(W.bytes());
-    EXPECT_EQ(levc::readTerm(R, Ctx), nullptr);
-  }
 }
 
 TEST(ArtifactSerializeTest, FingerprintIsStableWithinABuild) {
