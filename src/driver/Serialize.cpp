@@ -387,7 +387,6 @@ Result<std::string> Compilation::serializeArtifact() const {
   }
 
   ByteWriter Meta;
-  Meta.u8(static_cast<uint8_t>(Opts.DefaultBackend));
   Meta.u32(static_cast<uint32_t>(Timings.size()));
   for (const StageTiming &T : Timings) {
     Meta.str(T.Stage);
@@ -474,7 +473,6 @@ Compilation::deserializeArtifact(std::string_view Bytes,
   Comp->Hydrated = true;
 
   ByteReader MetaR(Meta);
-  MetaR.u8(); // Original default backend: advisory metadata only.
   uint32_t NumTimings = MetaR.u32();
   if (!MetaR.ok() || NumTimings > 1024)
     return nullptr;

@@ -64,7 +64,8 @@ inline constexpr char Magic[4] = {'L', 'E', 'V', 'C'};
 /// section (readers skipped its id like any unknown section).
 /// v4: no MTRM section and no name counter in META; BCOD is mandatory
 /// and holds only the user's bindings.
-inline constexpr uint32_t FormatVersion = 4;
+/// v5: no default-backend byte in META; it had no reader.
+inline constexpr uint32_t FormatVersion = 5;
 
 /// Names the semantics of the compiled artifacts. Bump whenever the
 /// core→L→ANF→M lowering changes observable output (new fragment,
@@ -77,7 +78,7 @@ inline constexpr char PipelineEpoch[] = "core->L->ANF->M pr6";
 /// without a FormatVersion bump.
 enum SectionId : uint32_t {
   SecSource = 0x20435253,   ///< "SRC " — the exact source text.
-  SecMeta = 0x4154454D,     ///< "META" — backend and stage timings.
+  SecMeta = 0x4154454D,     ///< "META" — stage timings.
   SecTypes = 0x45505954,    ///< "TYPE" — pretty-printed global types.
   SecBytecode = 0x444F4342, ///< "BCOD" — compiled bytecode of the user's
                             ///< bindings (mandatory).

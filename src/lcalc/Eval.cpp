@@ -27,7 +27,7 @@ StepResult Evaluator::step(TypeEnv &Env, const Expr *E) {
   case Expr::ExprKind::Fix: {
     // S_FIX: fix x:τ. e → e[fix x:τ. e / x].
     const auto *F = cast<FixExpr>(E);
-    const Expr *Next = substExprInExpr(Ctx, F->body(), F->var(), E);
+    const Expr *Next = subst(Ctx, F->body(), F->var(), E);
     return {StepStatus::Stepped, Next, "S_FIX"};
   }
   case Expr::ExprKind::If0: {
@@ -63,8 +63,7 @@ StepResult Evaluator::step(TypeEnv &Env, const Expr *E) {
       // lambda; the argument is substituted unevaluated (call-by-name —
       // M recovers sharing with its heap).
       if (const auto *L = dyn_cast<LamExpr>(A->fn())) {
-        const Expr *Next =
-            substExprInExpr(Ctx, L->body(), L->var(), A->arg());
+        const Expr *Next = subst(Ctx, L->body(), L->var(), A->arg());
         return {StepStatus::Stepped, Next, "S_BETAPTR"};
       }
       StepResult Fn = step(Env, A->fn());
@@ -89,7 +88,7 @@ StepResult Evaluator::step(TypeEnv &Env, const Expr *E) {
       return {StepStatus::Stuck, nullptr, "stuck strict argument"};
     }
     if (const auto *L = dyn_cast<LamExpr>(A->fn())) {
-      const Expr *Next = substExprInExpr(Ctx, L->body(), L->var(), A->arg());
+      const Expr *Next = subst(Ctx, L->body(), L->var(), A->arg());
       return {StepStatus::Stepped, Next, "S_BETAUNBOXED"};
     }
     StepResult Fn = step(Env, A->fn());
@@ -122,8 +121,7 @@ StepResult Evaluator::step(TypeEnv &Env, const Expr *E) {
     // S_TBETA requires the abstraction body to be a value.
     if (const auto *L = dyn_cast<TyLamExpr>(A->fn())) {
       if (isValue(L->body())) {
-        const Expr *Next =
-            substTypeInExpr(Ctx, L->body(), L->var(), A->tyArg());
+        const Expr *Next = subst(Ctx, L->body(), L->var(), A->tyArg());
         return {StepStatus::Stepped, Next, "S_TBETA"};
       }
     }
@@ -157,8 +155,7 @@ StepResult Evaluator::step(TypeEnv &Env, const Expr *E) {
     // S_RBETA.
     if (const auto *L = dyn_cast<RepLamExpr>(A->fn())) {
       if (isValue(L->body())) {
-        const Expr *Next =
-            substRepInExpr(Ctx, L->body(), L->repVar(), A->repArg());
+        const Expr *Next = subst(Ctx, L->body(), L->repVar(), A->repArg());
         return {StepStatus::Stepped, Next, "S_RBETA"};
       }
     }
@@ -266,11 +263,10 @@ StepResult Evaluator::step(TypeEnv &Env, const Expr *E) {
           std::vector<Symbol> Fresh(A.Binders.size());
           for (size_t I = 0; I != A.Binders.size(); ++I) {
             Fresh[I] = Ctx.symbols().fresh(A.Binders[I].str());
-            Rhs = substExprInExpr(Ctx, Rhs, A.Binders[I],
-                                  Ctx.var(Fresh[I]));
+            Rhs = subst(Ctx, Rhs, A.Binders[I], Ctx.var(Fresh[I]));
           }
           for (size_t I = 0; I != Fresh.size(); ++I)
-            Rhs = substExprInExpr(Ctx, Rhs, Fresh[I], Con->args()[I]);
+            Rhs = subst(Ctx, Rhs, Fresh[I], Con->args()[I]);
           return {StepStatus::Stepped, Rhs, "S_CASEk"};
         }
       } else if (const auto *Lit = dyn_cast<IntLitExpr>(C->scrut())) {

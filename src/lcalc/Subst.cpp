@@ -7,89 +7,14 @@
 
 #include "lcalc/Subst.h"
 
+#include <algorithm>
+
 using namespace levity;
 using namespace levity::lcalc;
 
 //===----------------------------------------------------------------------===//
 // Free variables
 //===----------------------------------------------------------------------===//
-
-void lcalc::freeTermVars(const Expr *E, SymbolSet &Out) {
-  switch (E->kind()) {
-  case Expr::ExprKind::Var:
-    Out.insert(cast<VarExpr>(E)->name());
-    return;
-  case Expr::ExprKind::App: {
-    const auto *A = cast<AppExpr>(E);
-    freeTermVars(A->fn(), Out);
-    freeTermVars(A->arg(), Out);
-    return;
-  }
-  case Expr::ExprKind::Lam: {
-    const auto *L = cast<LamExpr>(E);
-    SymbolSet Body;
-    freeTermVars(L->body(), Body);
-    Body.erase(L->var());
-    Out.insert(Body.begin(), Body.end());
-    return;
-  }
-  case Expr::ExprKind::TyLam:
-    freeTermVars(cast<TyLamExpr>(E)->body(), Out);
-    return;
-  case Expr::ExprKind::TyApp:
-    freeTermVars(cast<TyAppExpr>(E)->fn(), Out);
-    return;
-  case Expr::ExprKind::RepLam:
-    freeTermVars(cast<RepLamExpr>(E)->body(), Out);
-    return;
-  case Expr::ExprKind::RepApp:
-    freeTermVars(cast<RepAppExpr>(E)->fn(), Out);
-    return;
-  case Expr::ExprKind::Con:
-    for (const Expr *A : cast<ConExpr>(E)->args())
-      freeTermVars(A, Out);
-    return;
-  case Expr::ExprKind::Case: {
-    const auto *C = cast<CaseExpr>(E);
-    freeTermVars(C->scrut(), Out);
-    for (const LAlt &A : C->alts()) {
-      SymbolSet Body;
-      freeTermVars(A.Rhs, Body);
-      for (Symbol B : A.Binders)
-        Body.erase(B);
-      Out.insert(Body.begin(), Body.end());
-    }
-    if (C->defaultRhs())
-      freeTermVars(C->defaultRhs(), Out);
-    return;
-  }
-  case Expr::ExprKind::Prim: {
-    const auto *P = cast<PrimExpr>(E);
-    freeTermVars(P->lhs(), Out);
-    freeTermVars(P->rhs(), Out);
-    return;
-  }
-  case Expr::ExprKind::If0: {
-    const auto *I = cast<If0Expr>(E);
-    freeTermVars(I->scrut(), Out);
-    freeTermVars(I->thenBranch(), Out);
-    freeTermVars(I->elseBranch(), Out);
-    return;
-  }
-  case Expr::ExprKind::Fix: {
-    const auto *F = cast<FixExpr>(E);
-    SymbolSet Body;
-    freeTermVars(F->body(), Body);
-    Body.erase(F->var());
-    Out.insert(Body.begin(), Body.end());
-    return;
-  }
-  case Expr::ExprKind::IntLit:
-  case Expr::ExprKind::DoubleLit:
-  case Expr::ExprKind::Error:
-    return;
-  }
-}
 
 void lcalc::freeTypeVars(const Type *T, SymbolSet &Out) {
   switch (T->kind()) {
@@ -121,81 +46,22 @@ void lcalc::freeTypeVars(const Type *T, SymbolSet &Out) {
   }
 }
 
-void lcalc::freeTypeVars(const Expr *E, SymbolSet &Out) {
-  switch (E->kind()) {
-  case Expr::ExprKind::Var:
-  case Expr::ExprKind::IntLit:
-  case Expr::ExprKind::DoubleLit:
-  case Expr::ExprKind::Error:
-    return;
-  case Expr::ExprKind::App: {
-    const auto *A = cast<AppExpr>(E);
-    freeTypeVars(A->fn(), Out);
-    freeTypeVars(A->arg(), Out);
-    return;
-  }
-  case Expr::ExprKind::Lam: {
-    const auto *L = cast<LamExpr>(E);
-    freeTypeVars(L->varType(), Out);
-    freeTypeVars(L->body(), Out);
-    return;
-  }
-  case Expr::ExprKind::TyLam: {
-    const auto *L = cast<TyLamExpr>(E);
-    SymbolSet Body;
-    freeTypeVars(L->body(), Body);
-    Body.erase(L->var());
-    Out.insert(Body.begin(), Body.end());
-    return;
-  }
-  case Expr::ExprKind::TyApp: {
-    const auto *A = cast<TyAppExpr>(E);
-    freeTypeVars(A->fn(), Out);
-    freeTypeVars(A->tyArg(), Out);
-    return;
-  }
-  case Expr::ExprKind::RepLam:
-    freeTypeVars(cast<RepLamExpr>(E)->body(), Out);
-    return;
-  case Expr::ExprKind::RepApp:
-    freeTypeVars(cast<RepAppExpr>(E)->fn(), Out);
-    return;
-  case Expr::ExprKind::Con:
-    for (const Expr *A : cast<ConExpr>(E)->args())
-      freeTypeVars(A, Out);
-    return;
-  case Expr::ExprKind::Case: {
-    const auto *C = cast<CaseExpr>(E);
-    freeTypeVars(C->scrut(), Out);
-    for (const LAlt &A : C->alts())
-      freeTypeVars(A.Rhs, Out);
-    if (C->defaultRhs())
-      freeTypeVars(C->defaultRhs(), Out);
-    return;
-  }
-  case Expr::ExprKind::Prim: {
-    const auto *P = cast<PrimExpr>(E);
-    freeTypeVars(P->lhs(), Out);
-    freeTypeVars(P->rhs(), Out);
-    return;
-  }
-  case Expr::ExprKind::If0: {
-    const auto *I = cast<If0Expr>(E);
-    freeTypeVars(I->scrut(), Out);
-    freeTypeVars(I->thenBranch(), Out);
-    freeTypeVars(I->elseBranch(), Out);
-    return;
-  }
-  case Expr::ExprKind::Fix: {
-    const auto *F = cast<FixExpr>(E);
-    freeTypeVars(F->varType(), Out);
-    freeTypeVars(F->body(), Out);
-    return;
-  }
-  }
-}
-
 namespace {
+
+/// The three namespaces of L variables.
+enum class VarSpace : uint8_t { Term, Type, Rep };
+
+SymbolSet &in(FreeVars &FV, VarSpace S) {
+  switch (S) {
+  case VarSpace::Term:
+    return FV.Term;
+  case VarSpace::Type:
+    return FV.Type;
+  case VarSpace::Rep:
+    return FV.Rep;
+  }
+  return FV.Term;
+}
 
 void freeRepVarsOfRep(RuntimeRep R, SymbolSet &Out) {
   if (R.isVar())
@@ -235,96 +101,108 @@ void lcalc::freeRepVars(const Type *T, SymbolSet &Out) {
   }
 }
 
-void lcalc::freeRepVars(const Expr *E, SymbolSet &Out) {
+void lcalc::freeVars(const Expr *E, FreeVars &Out) {
+  // Adds Body's free variables, less Binders in their namespace.
+  auto Under = [&](VarSpace S, std::span<const Symbol> Binders,
+                   const Expr *Body) {
+    FreeVars Inner;
+    freeVars(Body, Inner);
+    for (Symbol B : Binders)
+      in(Inner, S).erase(B);
+    Out.Term.insert(Inner.Term.begin(), Inner.Term.end());
+    Out.Type.insert(Inner.Type.begin(), Inner.Type.end());
+    Out.Rep.insert(Inner.Rep.begin(), Inner.Rep.end());
+  };
+  auto OfType = [&](const Type *T) {
+    freeTypeVars(T, Out.Type);
+    freeRepVars(T, Out.Rep);
+  };
   switch (E->kind()) {
   case Expr::ExprKind::Var:
+    Out.Term.insert(cast<VarExpr>(E)->name());
+    return;
   case Expr::ExprKind::IntLit:
   case Expr::ExprKind::DoubleLit:
   case Expr::ExprKind::Error:
     return;
   case Expr::ExprKind::App: {
     const auto *A = cast<AppExpr>(E);
-    freeRepVars(A->fn(), Out);
-    freeRepVars(A->arg(), Out);
+    freeVars(A->fn(), Out);
+    freeVars(A->arg(), Out);
     return;
   }
   case Expr::ExprKind::Lam: {
     const auto *L = cast<LamExpr>(E);
-    freeRepVars(L->varType(), Out);
-    freeRepVars(L->body(), Out);
+    Symbol B = L->var();
+    OfType(L->varType());
+    Under(VarSpace::Term, {&B, 1}, L->body());
     return;
   }
   case Expr::ExprKind::TyLam: {
     const auto *L = cast<TyLamExpr>(E);
-    freeRepVarsOfRep(L->varKind().rep(), Out);
-    freeRepVars(L->body(), Out);
+    Symbol B = L->var();
+    freeRepVarsOfRep(L->varKind().rep(), Out.Rep);
+    Under(VarSpace::Type, {&B, 1}, L->body());
     return;
   }
   case Expr::ExprKind::TyApp: {
     const auto *A = cast<TyAppExpr>(E);
-    freeRepVars(A->fn(), Out);
-    freeRepVars(A->tyArg(), Out);
+    freeVars(A->fn(), Out);
+    OfType(A->tyArg());
     return;
   }
   case Expr::ExprKind::RepLam: {
     const auto *L = cast<RepLamExpr>(E);
-    SymbolSet Body;
-    freeRepVars(L->body(), Body);
-    Body.erase(L->repVar());
-    Out.insert(Body.begin(), Body.end());
+    Symbol B = L->repVar();
+    Under(VarSpace::Rep, {&B, 1}, L->body());
     return;
   }
   case Expr::ExprKind::RepApp: {
     const auto *A = cast<RepAppExpr>(E);
-    freeRepVars(A->fn(), Out);
-    freeRepVarsOfRep(A->repArg(), Out);
+    freeVars(A->fn(), Out);
+    freeRepVarsOfRep(A->repArg(), Out.Rep);
     return;
   }
   case Expr::ExprKind::Con:
     for (const Expr *A : cast<ConExpr>(E)->args())
-      freeRepVars(A, Out);
+      freeVars(A, Out);
     return;
   case Expr::ExprKind::Case: {
     const auto *C = cast<CaseExpr>(E);
-    freeRepVars(C->scrut(), Out);
+    freeVars(C->scrut(), Out);
     for (const LAlt &A : C->alts())
-      freeRepVars(A.Rhs, Out);
+      Under(VarSpace::Term, A.Binders, A.Rhs);
     if (C->defaultRhs())
-      freeRepVars(C->defaultRhs(), Out);
+      freeVars(C->defaultRhs(), Out);
     return;
   }
   case Expr::ExprKind::Prim: {
     const auto *P = cast<PrimExpr>(E);
-    freeRepVars(P->lhs(), Out);
-    freeRepVars(P->rhs(), Out);
+    freeVars(P->lhs(), Out);
+    freeVars(P->rhs(), Out);
     return;
   }
   case Expr::ExprKind::If0: {
     const auto *I = cast<If0Expr>(E);
-    freeRepVars(I->scrut(), Out);
-    freeRepVars(I->thenBranch(), Out);
-    freeRepVars(I->elseBranch(), Out);
+    freeVars(I->scrut(), Out);
+    freeVars(I->thenBranch(), Out);
+    freeVars(I->elseBranch(), Out);
     return;
   }
   case Expr::ExprKind::Fix: {
     const auto *F = cast<FixExpr>(E);
-    freeRepVars(F->varType(), Out);
-    freeRepVars(F->body(), Out);
+    Symbol B = F->var();
+    OfType(F->varType());
+    Under(VarSpace::Term, {&B, 1}, F->body());
     return;
   }
   }
 }
 
 bool lcalc::isClosed(const Expr *E) {
-  SymbolSet S;
-  freeTermVars(E, S);
-  if (!S.empty())
-    return false;
-  freeTypeVars(E, S);
-  if (!S.empty())
-    return false;
-  freeRepVars(E, S);
-  return S.empty();
+  FreeVars FV;
+  freeVars(E, FV);
+  return FV.Term.empty() && FV.Type.empty() && FV.Rep.empty();
 }
 
 //===----------------------------------------------------------------------===//
@@ -453,375 +331,159 @@ const Type *lcalc::substRepInType(LContext &Ctx, const Type *T, Symbol RepVar,
   return T;
 }
 
+
 //===----------------------------------------------------------------------===//
 // Substitution into expressions
 //===----------------------------------------------------------------------===//
 
-const Expr *lcalc::substExprInExpr(LContext &Ctx, const Expr *E, Symbol Var,
-                                   const Expr *Replacement) {
+namespace {
+
+/// e[By/Var] for a term, type or rep variable: the one walk behind the
+/// three `subst` entry points. The replacement is ByExpr, ByType or ByRep
+/// as Space, Var's namespace, says.
+class ExprSubst {
+public:
+  ExprSubst(LContext &Ctx, VarSpace Space, Symbol Var,
+            const Expr *ByExpr, const Type *ByType, RuntimeRep ByRep)
+      : Ctx(Ctx), Space(Space), Var(Var), ByExpr(ByExpr), ByType(ByType),
+        ByRep(ByRep) {
+    // The replacement's free variables, in all three namespaces, once.
+    switch (Space) {
+    case VarSpace::Term:
+      freeVars(ByExpr, FV);
+      break;
+    case VarSpace::Type:
+      freeTypeVars(ByType, FV.Type);
+      freeRepVars(ByType, FV.Rep);
+      break;
+    case VarSpace::Rep:
+      if (ByRep.isVar())
+        FV.Rep.insert(ByRep.varName());
+      break;
+    }
+  }
+
+  const Expr *walk(const Expr *E);
+
+private:
+  LContext &Ctx;
+  VarSpace Space;
+  Symbol Var;
+  const Expr *ByExpr;
+  const Type *ByType;
+  RuntimeRep ByRep;
+  FreeVars FV;
+
+  /// The substitution applied to a type annotation, a kind, a rep.
+  const Type *type(const Type *T) {
+    switch (Space) {
+    case VarSpace::Term:
+      return T;
+    case VarSpace::Type:
+      return substTypeInType(Ctx, T, Var, ByType);
+    case VarSpace::Rep:
+      return substRepInType(Ctx, T, Var, ByRep);
+    }
+    return T;
+  }
+  LKind kind(LKind K) {
+    return Space == VarSpace::Rep ? substRep(K, Var, ByRep) : K;
+  }
+  RuntimeRep rep(RuntimeRep R) {
+    return Space == VarSpace::Rep ? substRep(R, Var, ByRep) : R;
+  }
+
+  /// True when binder B of namespace S shadows Var.
+  bool shadows(VarSpace S, Symbol B) const { return S == Space && B == Var; }
+
+  /// Renames binder B of namespace S to a fresh name throughout Body when
+  /// B is free in the replacement, so that the walk cannot capture it.
+  /// \returns true if it renamed.
+  bool avoidCapture(VarSpace S, Symbol &B, const Expr *&Body) {
+    if (!in(FV, S).count(B))
+      return false;
+    Symbol Fresh = Ctx.symbols().fresh(B.str());
+    switch (S) {
+    case VarSpace::Term:
+      Body = subst(Ctx, Body, B, Ctx.var(Fresh));
+      break;
+    case VarSpace::Type:
+      Body = subst(Ctx, Body, B, Ctx.varTy(Fresh));
+      break;
+    case VarSpace::Rep:
+      Body = subst(Ctx, Body, B, RuntimeRep::var(Fresh));
+      break;
+    }
+    B = Fresh;
+    return true;
+  }
+
+  /// Walks Body under binder B of namespace S, renaming B first when it
+  /// would capture. Leaves Body alone when B shadows Var.
+  const Expr *under(VarSpace S, Symbol &B, const Expr *Body) {
+    if (shadows(S, B))
+      return Body;
+    avoidCapture(S, B, Body);
+    return walk(Body);
+  }
+};
+
+const Expr *ExprSubst::walk(const Expr *E) {
   switch (E->kind()) {
   case Expr::ExprKind::Var:
-    return cast<VarExpr>(E)->name() == Var ? Replacement : E;
+    if (Space == VarSpace::Term && cast<VarExpr>(E)->name() == Var)
+      return ByExpr;
+    return E;
   case Expr::ExprKind::IntLit:
   case Expr::ExprKind::DoubleLit:
   case Expr::ExprKind::Error:
     return E;
   case Expr::ExprKind::App: {
     const auto *A = cast<AppExpr>(E);
-    const Expr *Fn = substExprInExpr(Ctx, A->fn(), Var, Replacement);
-    const Expr *Arg = substExprInExpr(Ctx, A->arg(), Var, Replacement);
+    const Expr *Fn = walk(A->fn());
+    const Expr *Arg = walk(A->arg());
     if (Fn == A->fn() && Arg == A->arg())
       return E;
     return Ctx.app(Fn, Arg);
   }
   case Expr::ExprKind::Lam: {
     const auto *L = cast<LamExpr>(E);
-    if (L->var() == Var)
-      return E; // shadowed
-    SymbolSet FV;
-    freeTermVars(Replacement, FV);
-    Symbol Bound = L->var();
-    const Expr *Body = L->body();
-    if (FV.count(Bound)) {
-      Symbol Fresh = Ctx.symbols().fresh(Bound.str());
-      Body = substExprInExpr(Ctx, Body, Bound, Ctx.var(Fresh));
-      Bound = Fresh;
-    }
-    const Expr *NewBody = substExprInExpr(Ctx, Body, Var, Replacement);
-    if (Bound == L->var() && NewBody == L->body())
+    const Type *Ann = type(L->varType());
+    Symbol B = L->var();
+    const Expr *Body = under(VarSpace::Term, B, L->body());
+    if (Ann == L->varType() && B == L->var() && Body == L->body())
       return E;
-    return Ctx.lam(Bound, L->varType(), NewBody);
+    return Ctx.lam(B, Ann, Body);
   }
   case Expr::ExprKind::TyLam: {
     const auto *L = cast<TyLamExpr>(E);
-    const Expr *Body = substExprInExpr(Ctx, L->body(), Var, Replacement);
-    if (Body == L->body())
+    LKind K = kind(L->varKind());
+    Symbol B = L->var();
+    const Expr *Body = under(VarSpace::Type, B, L->body());
+    if (K == L->varKind() && B == L->var() && Body == L->body())
       return E;
-    return Ctx.tyLam(L->var(), L->varKind(), Body);
+    return Ctx.tyLam(B, K, Body);
   }
   case Expr::ExprKind::TyApp: {
     const auto *A = cast<TyAppExpr>(E);
-    const Expr *Fn = substExprInExpr(Ctx, A->fn(), Var, Replacement);
-    if (Fn == A->fn())
-      return E;
-    return Ctx.tyApp(Fn, A->tyArg());
-  }
-  case Expr::ExprKind::RepLam: {
-    const auto *L = cast<RepLamExpr>(E);
-    const Expr *Body = substExprInExpr(Ctx, L->body(), Var, Replacement);
-    if (Body == L->body())
-      return E;
-    return Ctx.repLam(L->repVar(), Body);
-  }
-  case Expr::ExprKind::RepApp: {
-    const auto *A = cast<RepAppExpr>(E);
-    const Expr *Fn = substExprInExpr(Ctx, A->fn(), Var, Replacement);
-    if (Fn == A->fn())
-      return E;
-    return Ctx.repApp(Fn, A->repArg());
-  }
-  case Expr::ExprKind::Con: {
-    const auto *C = cast<ConExpr>(E);
-    std::vector<const Expr *> Args(C->args().begin(), C->args().end());
-    bool Changed = false;
-    for (const Expr *&A : Args) {
-      const Expr *N = substExprInExpr(Ctx, A, Var, Replacement);
-      Changed |= N != A;
-      A = N;
-    }
-    if (!Changed)
-      return E;
-    return Ctx.conData(C->decl(), C->tag(), Args);
-  }
-  case Expr::ExprKind::Case: {
-    const auto *C = cast<CaseExpr>(E);
-    const Expr *Scrut = substExprInExpr(Ctx, C->scrut(), Var, Replacement);
-    bool Changed = Scrut != C->scrut();
-
-    SymbolSet FV;
-    freeTermVars(Replacement, FV);
-    std::vector<LAlt> Alts(C->alts().begin(), C->alts().end());
-    for (LAlt &A : Alts) {
-      bool Shadowed = false;
-      for (Symbol B : A.Binders)
-        Shadowed |= B == Var;
-      if (Shadowed)
-        continue;
-      // Freshen any binder that would capture a free variable of the
-      // replacement.
-      std::vector<Symbol> Binders(A.Binders.begin(), A.Binders.end());
-      const Expr *Rhs = A.Rhs;
-      bool Renamed = false;
-      for (Symbol &B : Binders) {
-        if (!FV.count(B))
-          continue;
-        Symbol Fresh = Ctx.symbols().fresh(B.str());
-        Rhs = substExprInExpr(Ctx, Rhs, B, Ctx.var(Fresh));
-        B = Fresh;
-        Renamed = true;
-      }
-      const Expr *NewRhs = substExprInExpr(Ctx, Rhs, Var, Replacement);
-      if (!Renamed && NewRhs == A.Rhs)
-        continue;
-      if (Renamed)
-        A.Binders = std::span<const Symbol>(
-            Ctx.arena().copyArray(Binders));
-      A.Rhs = NewRhs;
-      Changed = true;
-    }
-    const Expr *Def = C->defaultRhs();
-    if (Def) {
-      const Expr *NewDef = substExprInExpr(Ctx, Def, Var, Replacement);
-      Changed |= NewDef != Def;
-      Def = NewDef;
-    }
-    if (!Changed)
-      return E;
-    return Ctx.caseData(Scrut, C->decl(), Alts, Def);
-  }
-  case Expr::ExprKind::Prim: {
-    const auto *P = cast<PrimExpr>(E);
-    const Expr *Lhs = substExprInExpr(Ctx, P->lhs(), Var, Replacement);
-    const Expr *Rhs = substExprInExpr(Ctx, P->rhs(), Var, Replacement);
-    if (Lhs == P->lhs() && Rhs == P->rhs())
-      return E;
-    return Ctx.prim(P->op(), Lhs, Rhs);
-  }
-  case Expr::ExprKind::If0: {
-    const auto *I = cast<If0Expr>(E);
-    const Expr *Scrut = substExprInExpr(Ctx, I->scrut(), Var, Replacement);
-    const Expr *Then =
-        substExprInExpr(Ctx, I->thenBranch(), Var, Replacement);
-    const Expr *Else =
-        substExprInExpr(Ctx, I->elseBranch(), Var, Replacement);
-    if (Scrut == I->scrut() && Then == I->thenBranch() &&
-        Else == I->elseBranch())
-      return E;
-    return Ctx.if0(Scrut, Then, Else);
-  }
-  case Expr::ExprKind::Fix: {
-    const auto *F = cast<FixExpr>(E);
-    if (F->var() == Var)
-      return E; // shadowed
-    SymbolSet FV;
-    freeTermVars(Replacement, FV);
-    Symbol Bound = F->var();
-    const Expr *Body = F->body();
-    if (FV.count(Bound)) {
-      Symbol Fresh = Ctx.symbols().fresh(Bound.str());
-      Body = substExprInExpr(Ctx, Body, Bound, Ctx.var(Fresh));
-      Bound = Fresh;
-    }
-    const Expr *NewBody = substExprInExpr(Ctx, Body, Var, Replacement);
-    if (Bound == F->var() && NewBody == F->body())
-      return E;
-    return Ctx.fix(Bound, F->varType(), NewBody);
-  }
-  }
-  assert(false && "unknown expr kind");
-  return E;
-}
-
-const Expr *lcalc::substTypeInExpr(LContext &Ctx, const Expr *E, Symbol Var,
-                                   const Type *Replacement) {
-  switch (E->kind()) {
-  case Expr::ExprKind::Var:
-  case Expr::ExprKind::IntLit:
-  case Expr::ExprKind::DoubleLit:
-  case Expr::ExprKind::Error:
-    return E;
-  case Expr::ExprKind::App: {
-    const auto *A = cast<AppExpr>(E);
-    const Expr *Fn = substTypeInExpr(Ctx, A->fn(), Var, Replacement);
-    const Expr *Arg = substTypeInExpr(Ctx, A->arg(), Var, Replacement);
-    if (Fn == A->fn() && Arg == A->arg())
-      return E;
-    return Ctx.app(Fn, Arg);
-  }
-  case Expr::ExprKind::Lam: {
-    const auto *L = cast<LamExpr>(E);
-    const Type *Ann = substTypeInType(Ctx, L->varType(), Var, Replacement);
-    const Expr *Body = substTypeInExpr(Ctx, L->body(), Var, Replacement);
-    if (Ann == L->varType() && Body == L->body())
-      return E;
-    return Ctx.lam(L->var(), Ann, Body);
-  }
-  case Expr::ExprKind::TyLam: {
-    const auto *L = cast<TyLamExpr>(E);
-    if (L->var() == Var)
-      return E; // shadowed
-    SymbolSet FV;
-    freeTypeVars(Replacement, FV);
-    Symbol Bound = L->var();
-    const Expr *Body = L->body();
-    if (FV.count(Bound)) {
-      Symbol Fresh = Ctx.symbols().fresh(Bound.str());
-      Body = substTypeInExpr(Ctx, Body, Bound, Ctx.varTy(Fresh));
-      Bound = Fresh;
-    }
-    const Expr *NewBody = substTypeInExpr(Ctx, Body, Var, Replacement);
-    if (Bound == L->var() && NewBody == L->body())
-      return E;
-    return Ctx.tyLam(Bound, L->varKind(), NewBody);
-  }
-  case Expr::ExprKind::TyApp: {
-    const auto *A = cast<TyAppExpr>(E);
-    const Expr *Fn = substTypeInExpr(Ctx, A->fn(), Var, Replacement);
-    const Type *Ty = substTypeInType(Ctx, A->tyArg(), Var, Replacement);
+    const Expr *Fn = walk(A->fn());
+    const Type *Ty = type(A->tyArg());
     if (Fn == A->fn() && Ty == A->tyArg())
       return E;
     return Ctx.tyApp(Fn, Ty);
   }
   case Expr::ExprKind::RepLam: {
     const auto *L = cast<RepLamExpr>(E);
-    // The replacement type may mention this rep binder's name free;
-    // freshen in that unlikely capture case.
-    SymbolSet FRV;
-    freeRepVars(Replacement, FRV);
-    if (FRV.count(L->repVar())) {
-      Symbol Fresh = Ctx.symbols().fresh(L->repVar().str());
-      const Expr *Renamed =
-          substRepInExpr(Ctx, L->body(), L->repVar(), RuntimeRep::var(Fresh));
-      return Ctx.repLam(Fresh,
-                        substTypeInExpr(Ctx, Renamed, Var, Replacement));
-    }
-    const Expr *Body = substTypeInExpr(Ctx, L->body(), Var, Replacement);
-    if (Body == L->body())
+    Symbol B = L->repVar();
+    const Expr *Body = under(VarSpace::Rep, B, L->body());
+    if (B == L->repVar() && Body == L->body())
       return E;
-    return Ctx.repLam(L->repVar(), Body);
+    return Ctx.repLam(B, Body);
   }
   case Expr::ExprKind::RepApp: {
     const auto *A = cast<RepAppExpr>(E);
-    const Expr *Fn = substTypeInExpr(Ctx, A->fn(), Var, Replacement);
-    if (Fn == A->fn())
-      return E;
-    return Ctx.repApp(Fn, A->repArg());
-  }
-  case Expr::ExprKind::Con: {
-    const auto *C = cast<ConExpr>(E);
-    std::vector<const Expr *> Args(C->args().begin(), C->args().end());
-    bool Changed = false;
-    for (const Expr *&A : Args) {
-      const Expr *N = substTypeInExpr(Ctx, A, Var, Replacement);
-      Changed |= N != A;
-      A = N;
-    }
-    if (!Changed)
-      return E;
-    return Ctx.conData(C->decl(), C->tag(), Args);
-  }
-  case Expr::ExprKind::Case: {
-    const auto *C = cast<CaseExpr>(E);
-    const Expr *Scrut = substTypeInExpr(Ctx, C->scrut(), Var, Replacement);
-    bool Changed = Scrut != C->scrut();
-    std::vector<LAlt> Alts(C->alts().begin(), C->alts().end());
-    for (LAlt &A : Alts) {
-      const Expr *NewRhs = substTypeInExpr(Ctx, A.Rhs, Var, Replacement);
-      Changed |= NewRhs != A.Rhs;
-      A.Rhs = NewRhs;
-    }
-    const Expr *Def = C->defaultRhs();
-    if (Def) {
-      const Expr *NewDef = substTypeInExpr(Ctx, Def, Var, Replacement);
-      Changed |= NewDef != Def;
-      Def = NewDef;
-    }
-    if (!Changed)
-      return E;
-    return Ctx.caseData(Scrut, C->decl(), Alts, Def);
-  }
-  case Expr::ExprKind::Prim: {
-    const auto *P = cast<PrimExpr>(E);
-    const Expr *Lhs = substTypeInExpr(Ctx, P->lhs(), Var, Replacement);
-    const Expr *Rhs = substTypeInExpr(Ctx, P->rhs(), Var, Replacement);
-    if (Lhs == P->lhs() && Rhs == P->rhs())
-      return E;
-    return Ctx.prim(P->op(), Lhs, Rhs);
-  }
-  case Expr::ExprKind::If0: {
-    const auto *I = cast<If0Expr>(E);
-    const Expr *Scrut = substTypeInExpr(Ctx, I->scrut(), Var, Replacement);
-    const Expr *Then =
-        substTypeInExpr(Ctx, I->thenBranch(), Var, Replacement);
-    const Expr *Else =
-        substTypeInExpr(Ctx, I->elseBranch(), Var, Replacement);
-    if (Scrut == I->scrut() && Then == I->thenBranch() &&
-        Else == I->elseBranch())
-      return E;
-    return Ctx.if0(Scrut, Then, Else);
-  }
-  case Expr::ExprKind::Fix: {
-    const auto *F = cast<FixExpr>(E);
-    const Type *Ann = substTypeInType(Ctx, F->varType(), Var, Replacement);
-    const Expr *Body = substTypeInExpr(Ctx, F->body(), Var, Replacement);
-    if (Ann == F->varType() && Body == F->body())
-      return E;
-    return Ctx.fix(F->var(), Ann, Body);
-  }
-  }
-  assert(false && "unknown expr kind");
-  return E;
-}
-
-const Expr *lcalc::substRepInExpr(LContext &Ctx, const Expr *E, Symbol RepVar,
-                                  RuntimeRep Rep) {
-  switch (E->kind()) {
-  case Expr::ExprKind::Var:
-  case Expr::ExprKind::IntLit:
-  case Expr::ExprKind::DoubleLit:
-  case Expr::ExprKind::Error:
-    return E;
-  case Expr::ExprKind::App: {
-    const auto *A = cast<AppExpr>(E);
-    const Expr *Fn = substRepInExpr(Ctx, A->fn(), RepVar, Rep);
-    const Expr *Arg = substRepInExpr(Ctx, A->arg(), RepVar, Rep);
-    if (Fn == A->fn() && Arg == A->arg())
-      return E;
-    return Ctx.app(Fn, Arg);
-  }
-  case Expr::ExprKind::Lam: {
-    const auto *L = cast<LamExpr>(E);
-    const Type *Ann = substRepInType(Ctx, L->varType(), RepVar, Rep);
-    const Expr *Body = substRepInExpr(Ctx, L->body(), RepVar, Rep);
-    if (Ann == L->varType() && Body == L->body())
-      return E;
-    return Ctx.lam(L->var(), Ann, Body);
-  }
-  case Expr::ExprKind::TyLam: {
-    const auto *L = cast<TyLamExpr>(E);
-    LKind K = substRep(L->varKind(), RepVar, Rep);
-    const Expr *Body = substRepInExpr(Ctx, L->body(), RepVar, Rep);
-    if (K == L->varKind() && Body == L->body())
-      return E;
-    return Ctx.tyLam(L->var(), K, Body);
-  }
-  case Expr::ExprKind::TyApp: {
-    const auto *A = cast<TyAppExpr>(E);
-    const Expr *Fn = substRepInExpr(Ctx, A->fn(), RepVar, Rep);
-    const Type *Ty = substRepInType(Ctx, A->tyArg(), RepVar, Rep);
-    if (Fn == A->fn() && Ty == A->tyArg())
-      return E;
-    return Ctx.tyApp(Fn, Ty);
-  }
-  case Expr::ExprKind::RepLam: {
-    const auto *L = cast<RepLamExpr>(E);
-    if (L->repVar() == RepVar)
-      return E; // shadowed
-    if (Rep.isVar() && Rep.varName() == L->repVar()) {
-      Symbol Fresh = Ctx.symbols().fresh(L->repVar().str());
-      const Expr *Renamed =
-          substRepInExpr(Ctx, L->body(), L->repVar(), RuntimeRep::var(Fresh));
-      return Ctx.repLam(Fresh, substRepInExpr(Ctx, Renamed, RepVar, Rep));
-    }
-    const Expr *Body = substRepInExpr(Ctx, L->body(), RepVar, Rep);
-    if (Body == L->body())
-      return E;
-    return Ctx.repLam(L->repVar(), Body);
-  }
-  case Expr::ExprKind::RepApp: {
-    const auto *A = cast<RepAppExpr>(E);
-    const Expr *Fn = substRepInExpr(Ctx, A->fn(), RepVar, Rep);
-    RuntimeRep R = substRep(A->repArg(), RepVar, Rep);
+    const Expr *Fn = walk(A->fn());
+    RuntimeRep R = rep(A->repArg());
     if (Fn == A->fn() && R == A->repArg())
       return E;
     return Ctx.repApp(Fn, R);
@@ -831,7 +493,7 @@ const Expr *lcalc::substRepInExpr(LContext &Ctx, const Expr *E, Symbol RepVar,
     std::vector<const Expr *> Args(C->args().begin(), C->args().end());
     bool Changed = false;
     for (const Expr *&A : Args) {
-      const Expr *N = substRepInExpr(Ctx, A, RepVar, Rep);
+      const Expr *N = walk(A);
       Changed |= N != A;
       A = N;
     }
@@ -841,17 +503,30 @@ const Expr *lcalc::substRepInExpr(LContext &Ctx, const Expr *E, Symbol RepVar,
   }
   case Expr::ExprKind::Case: {
     const auto *C = cast<CaseExpr>(E);
-    const Expr *Scrut = substRepInExpr(Ctx, C->scrut(), RepVar, Rep);
+    const Expr *Scrut = walk(C->scrut());
     bool Changed = Scrut != C->scrut();
     std::vector<LAlt> Alts(C->alts().begin(), C->alts().end());
     for (LAlt &A : Alts) {
-      const Expr *NewRhs = substRepInExpr(Ctx, A.Rhs, RepVar, Rep);
-      Changed |= NewRhs != A.Rhs;
+      if (std::any_of(A.Binders.begin(), A.Binders.end(), [&](Symbol B) {
+            return shadows(VarSpace::Term, B);
+          }))
+        continue;
+      std::vector<Symbol> Binders(A.Binders.begin(), A.Binders.end());
+      const Expr *Rhs = A.Rhs;
+      bool Renamed = false;
+      for (Symbol &B : Binders)
+        Renamed |= avoidCapture(VarSpace::Term, B, Rhs);
+      const Expr *NewRhs = walk(Rhs);
+      if (!Renamed && NewRhs == A.Rhs)
+        continue;
+      if (Renamed)
+        A.Binders = Ctx.arena().copyArray(Binders);
       A.Rhs = NewRhs;
+      Changed = true;
     }
     const Expr *Def = C->defaultRhs();
     if (Def) {
-      const Expr *NewDef = substRepInExpr(Ctx, Def, RepVar, Rep);
+      const Expr *NewDef = walk(Def);
       Changed |= NewDef != Def;
       Def = NewDef;
     }
@@ -861,17 +536,17 @@ const Expr *lcalc::substRepInExpr(LContext &Ctx, const Expr *E, Symbol RepVar,
   }
   case Expr::ExprKind::Prim: {
     const auto *P = cast<PrimExpr>(E);
-    const Expr *Lhs = substRepInExpr(Ctx, P->lhs(), RepVar, Rep);
-    const Expr *Rhs = substRepInExpr(Ctx, P->rhs(), RepVar, Rep);
+    const Expr *Lhs = walk(P->lhs());
+    const Expr *Rhs = walk(P->rhs());
     if (Lhs == P->lhs() && Rhs == P->rhs())
       return E;
     return Ctx.prim(P->op(), Lhs, Rhs);
   }
   case Expr::ExprKind::If0: {
     const auto *I = cast<If0Expr>(E);
-    const Expr *Scrut = substRepInExpr(Ctx, I->scrut(), RepVar, Rep);
-    const Expr *Then = substRepInExpr(Ctx, I->thenBranch(), RepVar, Rep);
-    const Expr *Else = substRepInExpr(Ctx, I->elseBranch(), RepVar, Rep);
+    const Expr *Scrut = walk(I->scrut());
+    const Expr *Then = walk(I->thenBranch());
+    const Expr *Else = walk(I->elseBranch());
     if (Scrut == I->scrut() && Then == I->thenBranch() &&
         Else == I->elseBranch())
       return E;
@@ -879,13 +554,35 @@ const Expr *lcalc::substRepInExpr(LContext &Ctx, const Expr *E, Symbol RepVar,
   }
   case Expr::ExprKind::Fix: {
     const auto *F = cast<FixExpr>(E);
-    const Type *Ann = substRepInType(Ctx, F->varType(), RepVar, Rep);
-    const Expr *Body = substRepInExpr(Ctx, F->body(), RepVar, Rep);
-    if (Ann == F->varType() && Body == F->body())
+    const Type *Ann = type(F->varType());
+    Symbol B = F->var();
+    const Expr *Body = under(VarSpace::Term, B, F->body());
+    if (Ann == F->varType() && B == F->var() && Body == F->body())
       return E;
-    return Ctx.fix(F->var(), Ann, Body);
+    return Ctx.fix(B, Ann, Body);
   }
   }
   assert(false && "unknown expr kind");
   return E;
+}
+
+} // namespace
+
+const Expr *lcalc::subst(LContext &Ctx, const Expr *E, Symbol Var,
+                         const Expr *By) {
+  return ExprSubst(Ctx, VarSpace::Term, Var, By, nullptr,
+                   RuntimeRep::pointer())
+      .walk(E);
+}
+
+const Expr *lcalc::subst(LContext &Ctx, const Expr *E, Symbol Var,
+                         const Type *By) {
+  return ExprSubst(Ctx, VarSpace::Type, Var, nullptr, By,
+                   RuntimeRep::pointer())
+      .walk(E);
+}
+
+const Expr *lcalc::subst(LContext &Ctx, const Expr *E, Symbol Var,
+                         RuntimeRep By) {
+  return ExprSubst(Ctx, VarSpace::Rep, Var, nullptr, nullptr, By).walk(E);
 }

@@ -188,7 +188,7 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
           return Stuck("calling-convention mismatch: pointer argument "
                        "for an integer-register parameter");
         ++S.BetaPtr;
-        Cur = substVar(Ctx, L->body(), L->param(), F.Var);
+        Cur = subst(Ctx, L->body(), L->param(), MAtom::anyVar(F.Var));
         continue;
       }
       case Frame::FrameKind::AppLit: {
@@ -200,7 +200,7 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
           return Stuck("calling-convention mismatch: integer argument "
                        "for a non-integer-register parameter");
         ++S.BetaInt;
-        Cur = substLit(Ctx, L->body(), L->param(), F.Lit);
+        Cur = subst(Ctx, L->body(), L->param(), MAtom::lit(F.Lit));
         continue;
       }
       case Frame::FrameKind::AppDbl: {
@@ -212,7 +212,7 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
           return Stuck("calling-convention mismatch: double argument "
                        "for a non-double-register parameter");
         ++S.BetaDbl;
-        Cur = substDbl(Ctx, L->body(), L->param(), F.DblLit);
+        Cur = subst(Ctx, L->body(), L->param(), MAtom::dlit(F.DblLit));
         continue;
       }
       case Frame::FrameKind::Force:
@@ -229,14 +229,14 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
           const auto *Lit = dyn_cast<LitTerm>(Cur);
           if (!Lit)
             return Stuck("let! continuation expects an integer literal");
-          Cur = substLit(Ctx, F.Body, F.Var, Lit->value());
+          Cur = subst(Ctx, F.Body, F.Var, MAtom::lit(Lit->value()));
           continue;
         }
         if (F.Var.isDbl()) {
           const auto *Lit = dyn_cast<DLitTerm>(Cur);
           if (!Lit)
             return Stuck("let! continuation expects a double literal");
-          Cur = substDbl(Ctx, F.Body, F.Var, Lit->value());
+          Cur = subst(Ctx, F.Body, F.Var, MAtom::dlit(Lit->value()));
           continue;
         }
         return Stuck("let! continuation over a pointer binder");
@@ -246,7 +246,7 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
         const auto *Con = dyn_cast<ConLitTerm>(Cur);
         if (!Con || !F.Var.isInt())
           return Stuck("case continuation expects I#[n]");
-        Cur = substLit(Ctx, F.Body, F.Var, Con->value());
+        Cur = subst(Ctx, F.Body, F.Var, MAtom::lit(Con->value()));
         continue;
       }
       case Frame::FrameKind::If0: {
@@ -280,19 +280,9 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
             for (size_t I = 0; I != Hit->Binders.size(); ++I) {
               const MAtom &A = Con->args()[I];
               MVar B = Hit->Binders[I];
-              if (!A.IsLit) {
-                if (A.Var.Sort != B.Sort)
-                  return Stuck("switch binder register-class mismatch");
-                Body = substVar(Ctx, Body, B, A.Var);
-              } else if (A.IsDbl) {
-                if (!B.isDbl())
-                  return Stuck("switch binder register-class mismatch");
-                Body = substDbl(Ctx, Body, B, A.DblLit);
-              } else {
-                if (!B.isInt())
-                  return Stuck("switch binder register-class mismatch");
-                Body = substLit(Ctx, Body, B, A.Lit);
-              }
+              if (A.sort() != B.Sort)
+                return Stuck("switch binder register-class mismatch");
+              Body = subst(Ctx, Body, B, A);
             }
             Cur = Body;
             continue;
@@ -308,7 +298,8 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
             if (Hit->Binders.size() != 1 || !Hit->Binders[0].isInt())
               return Stuck("switch alternative arity mismatch");
             ++S.Branches;
-            Cur = substLit(Ctx, Hit->Body, Hit->Binders[0], Box->value());
+            Cur = subst(Ctx, Hit->Body, Hit->Binders[0],
+                        MAtom::lit(Box->value()));
             continue;
           }
         } else if (const auto *Lit = dyn_cast<LitTerm>(Cur)) {
@@ -405,7 +396,7 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
         ++S.ConAllocs;
       MVar Addr = Ctx.freshPtr();
       H.emplace(Addr.Name, L->rhs());
-      Cur = substVar(Ctx, L->body(), L->binder(), Addr);
+      Cur = subst(Ctx, L->body(), L->binder(), MAtom::anyVar(Addr));
       continue;
     }
     case Term::TermKind::LetBang: {
@@ -427,8 +418,9 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
       if (L->rhs()->kind() == Term::TermKind::Con)
         ++S.ConAllocs;
       MVar Addr = Ctx.freshPtr();
-      H.emplace(Addr.Name, substVar(Ctx, L->rhs(), L->binder(), Addr));
-      Cur = substVar(Ctx, L->body(), L->binder(), Addr);
+      H.emplace(Addr.Name,
+                subst(Ctx, L->rhs(), L->binder(), MAtom::anyVar(Addr)));
+      Cur = subst(Ctx, L->body(), L->binder(), MAtom::anyVar(Addr));
       continue;
     }
     case Term::TermKind::Case: {

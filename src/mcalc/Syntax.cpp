@@ -7,6 +7,7 @@
 
 #include "mcalc/Syntax.h"
 
+#include <algorithm>
 #include <sstream>
 
 using namespace levity;
@@ -391,60 +392,85 @@ bool mcalc::isValue(const Term *T) {
   }
 }
 
-const Term *mcalc::substVar(MContext &Ctx, const Term *T, MVar Var,
-                            MVar Replacement) {
-  assert(Var.Sort == Replacement.Sort && "substitution changes widths");
+namespace {
+
+/// The term an atom stands for in variable position: y, n or d.
+const Term *atomTerm(MContext &Ctx, MAtom A) {
+  if (!A.IsLit)
+    return Ctx.var(A.Var);
+  return A.IsDbl ? Ctx.dlit(A.DblLit) : Ctx.lit(A.Lit);
+}
+
+/// t a: t y, t n or t d by the atom's form.
+const Term *appAtom(MContext &Ctx, const Term *Fn, MAtom A) {
+  if (!A.IsLit)
+    return Ctx.appVar(Fn, A.Var);
+  return A.IsDbl ? Ctx.appDbl(Fn, A.DblLit) : Ctx.appLit(Fn, A.Lit);
+}
+
+/// Renames binder \p B to a fresh variable of its sort in every term of
+/// \p Scope when substituting \p By under it would capture \p By. Only a
+/// variable can be captured; literals never are.
+void avoidCapture(MContext &Ctx, MVar &B, MAtom By,
+                  std::initializer_list<const Term **> Scope) {
+  if (By.IsLit || By.Var != B)
+    return;
+  MVar Fresh = Ctx.freshLike(B);
+  for (const Term **T : Scope)
+    *T = subst(Ctx, *T, B, MAtom::anyVar(Fresh));
+  B = Fresh;
+}
+
+} // namespace
+
+const Term *mcalc::subst(MContext &Ctx, const Term *T, MVar Var, MAtom By) {
+  assert(By.sort() == Var.Sort && "substitution changes widths");
+  auto Hits = [&](MAtom A) { return !A.IsLit && A.Var == Var; };
   switch (T->kind()) {
   case Term::TermKind::Var:
-    return cast<VarTerm>(T)->var() == Var ? Ctx.var(Replacement) : T;
+    return cast<VarTerm>(T)->var() == Var ? atomTerm(Ctx, By) : T;
   case Term::TermKind::Lit:
   case Term::TermKind::DLit:
   case Term::TermKind::ConLit:
   case Term::TermKind::Error:
     return T;
-  case Term::TermKind::ConVar: {
-    const auto *C = cast<ConVarTerm>(T);
-    return C->var() == Var ? Ctx.conVar(Replacement) : T;
-  }
+  case Term::TermKind::ConVar:
+    // I# carries an Int#, so a match means By is an integer atom.
+    if (cast<ConVarTerm>(T)->var() != Var)
+      return T;
+    return By.IsLit ? Ctx.conLit(By.Lit) : Ctx.conVar(By.Var);
   case Term::TermKind::AppVar: {
     const auto *A = cast<AppVarTerm>(T);
-    const Term *Fn = substVar(Ctx, A->fn(), Var, Replacement);
-    MVar Arg = A->arg() == Var ? Replacement : A->arg();
-    if (Fn == A->fn() && Arg == A->arg())
-      return T;
-    return Ctx.appVar(Fn, Arg);
+    const Term *Fn = subst(Ctx, A->fn(), Var, By);
+    if (A->arg() == Var)
+      return appAtom(Ctx, Fn, By); // t i becomes t n, t f becomes t d
+    return Fn == A->fn() ? T : Ctx.appVar(Fn, A->arg());
   }
   case Term::TermKind::AppLit: {
     const auto *A = cast<AppLitTerm>(T);
-    const Term *Fn = substVar(Ctx, A->fn(), Var, Replacement);
-    if (Fn == A->fn())
-      return T;
-    return Ctx.appLit(Fn, A->lit());
+    const Term *Fn = subst(Ctx, A->fn(), Var, By);
+    return Fn == A->fn() ? T : Ctx.appLit(Fn, A->lit());
   }
   case Term::TermKind::AppDbl: {
     const auto *A = cast<AppDblTerm>(T);
-    const Term *Fn = substVar(Ctx, A->fn(), Var, Replacement);
-    if (Fn == A->fn())
-      return T;
-    return Ctx.appDbl(Fn, A->lit());
+    const Term *Fn = subst(Ctx, A->fn(), Var, By);
+    return Fn == A->fn() ? T : Ctx.appDbl(Fn, A->lit());
   }
   case Term::TermKind::Lam: {
     const auto *L = cast<LamTerm>(T);
-    if (L->param() == Var)
+    MVar Param = L->param();
+    if (Param == Var)
       return T; // shadowed
-    if (L->param() == Replacement) {
-      // Freshen to avoid capturing the replacement variable.
-      MVar Fresh = Ctx.freshLike(L->param());
-      const Term *Renamed = substVar(Ctx, L->body(), L->param(), Fresh);
-      return Ctx.lam(Fresh, substVar(Ctx, Renamed, Var, Replacement));
-    }
-    const Term *Body = substVar(Ctx, L->body(), Var, Replacement);
-    if (Body == L->body())
+    const Term *Body = L->body();
+    avoidCapture(Ctx, Param, By, {&Body});
+    Body = subst(Ctx, Body, Var, By);
+    if (Param == L->param() && Body == L->body())
       return T;
-    return Ctx.lam(L->param(), Body);
+    return Ctx.lam(Param, Body);
   }
   case Term::TermKind::Let:
   case Term::TermKind::LetBang: {
+    // Non-recursive: the binder scopes over the body only.
     bool Strict = T->kind() == Term::TermKind::LetBang;
     MVar Binder = Strict ? cast<LetBangTerm>(T)->binder()
                          : cast<LetTerm>(T)->binder();
@@ -452,443 +478,109 @@ const Term *mcalc::substVar(MContext &Ctx, const Term *T, MVar Var,
         Strict ? cast<LetBangTerm>(T)->rhs() : cast<LetTerm>(T)->rhs();
     const Term *Body =
         Strict ? cast<LetBangTerm>(T)->body() : cast<LetTerm>(T)->body();
-    const Term *NewRhs = substVar(Ctx, Rhs, Var, Replacement);
-    if (Binder == Var) {
-      if (NewRhs == Rhs)
-        return T;
-      return Strict ? Ctx.letBang(Binder, NewRhs, Body)
-                    : Ctx.let(Binder, NewRhs, Body);
+    const Term *NewRhs = subst(Ctx, Rhs, Var, By);
+    const Term *NewBody = Body;
+    MVar NewBinder = Binder;
+    if (Binder != Var) {
+      avoidCapture(Ctx, NewBinder, By, {&NewBody});
+      NewBody = subst(Ctx, NewBody, Var, By);
     }
-    if (Binder == Replacement) {
-      MVar Fresh = Ctx.freshLike(Binder);
-      const Term *Renamed = substVar(Ctx, Body, Binder, Fresh);
-      const Term *NewBody = substVar(Ctx, Renamed, Var, Replacement);
-      return Strict ? Ctx.letBang(Fresh, NewRhs, NewBody)
-                    : Ctx.let(Fresh, NewRhs, NewBody);
-    }
-    const Term *NewBody = substVar(Ctx, Body, Var, Replacement);
-    if (NewRhs == Rhs && NewBody == Body)
+    if (NewBinder == Binder && NewRhs == Rhs && NewBody == Body)
       return T;
-    return Strict ? Ctx.letBang(Binder, NewRhs, NewBody)
-                  : Ctx.let(Binder, NewRhs, NewBody);
+    return Strict ? Ctx.letBang(NewBinder, NewRhs, NewBody)
+                  : Ctx.let(NewBinder, NewRhs, NewBody);
   }
   case Term::TermKind::LetRec: {
     // The binder scopes over *both* the right-hand side and the body.
     const auto *L = cast<LetRecTerm>(T);
-    if (L->binder() == Var)
+    MVar Binder = L->binder();
+    if (Binder == Var)
       return T; // fully shadowed
-    if (L->binder() == Replacement) {
-      MVar Fresh = Ctx.freshLike(L->binder());
-      const Term *RenRhs = substVar(Ctx, L->rhs(), L->binder(), Fresh);
-      const Term *RenBody = substVar(Ctx, L->body(), L->binder(), Fresh);
-      return Ctx.letRec(Fresh, substVar(Ctx, RenRhs, Var, Replacement),
-                        substVar(Ctx, RenBody, Var, Replacement));
-    }
-    const Term *NewRhs = substVar(Ctx, L->rhs(), Var, Replacement);
-    const Term *NewBody = substVar(Ctx, L->body(), Var, Replacement);
-    if (NewRhs == L->rhs() && NewBody == L->body())
+    const Term *Rhs = L->rhs(), *Body = L->body();
+    avoidCapture(Ctx, Binder, By, {&Rhs, &Body});
+    Rhs = subst(Ctx, Rhs, Var, By);
+    Body = subst(Ctx, Body, Var, By);
+    if (Binder == L->binder() && Rhs == L->rhs() && Body == L->body())
       return T;
-    return Ctx.letRec(L->binder(), NewRhs, NewBody);
+    return Ctx.letRec(Binder, Rhs, Body);
   }
   case Term::TermKind::If0: {
     const auto *I = cast<If0Term>(T);
-    const Term *Scrut = substVar(Ctx, I->scrut(), Var, Replacement);
-    const Term *Then = substVar(Ctx, I->thenBranch(), Var, Replacement);
-    const Term *Else = substVar(Ctx, I->elseBranch(), Var, Replacement);
+    const Term *Scrut = subst(Ctx, I->scrut(), Var, By);
+    const Term *Then = subst(Ctx, I->thenBranch(), Var, By);
+    const Term *Else = subst(Ctx, I->elseBranch(), Var, By);
     if (Scrut == I->scrut() && Then == I->thenBranch() &&
         Else == I->elseBranch())
       return T;
     return Ctx.if0(Scrut, Then, Else);
   }
   case Term::TermKind::Prim: {
-    // Primop atoms are unboxed variables; term-variable substitution
-    // moves variables of the same sort.
+    // i ⊕# j becomes n ⊕# j (ILET/IPOP), f ⊕## g becomes d ⊕## g.
     const auto *P = cast<PrimTerm>(T);
-    MAtom Lhs = P->lhs(), Rhs = P->rhs();
-    bool Changed = false;
-    if (!Lhs.IsLit && Lhs.Var == Var) {
-      Lhs = MAtom::var(Replacement);
-      Changed = true;
-    }
-    if (!Rhs.IsLit && Rhs.Var == Var) {
-      Rhs = MAtom::var(Replacement);
-      Changed = true;
-    }
-    return Changed ? Ctx.prim(P->op(), Lhs, Rhs) : T;
+    if (!Hits(P->lhs()) && !Hits(P->rhs()))
+      return T;
+    return Ctx.prim(P->op(), Hits(P->lhs()) ? By : P->lhs(),
+                    Hits(P->rhs()) ? By : P->rhs());
   }
   case Term::TermKind::Case: {
     const auto *C = cast<CaseTerm>(T);
-    const Term *Scrut = substVar(Ctx, C->scrut(), Var, Replacement);
-    if (C->binder() == Var) {
-      if (Scrut == C->scrut())
-        return T;
-      return Ctx.caseOf(Scrut, C->binder(), C->body());
+    const Term *Scrut = subst(Ctx, C->scrut(), Var, By);
+    MVar Binder = C->binder();
+    const Term *Body = C->body();
+    if (Binder != Var) {
+      avoidCapture(Ctx, Binder, By, {&Body});
+      Body = subst(Ctx, Body, Var, By);
     }
-    if (C->binder() == Replacement) {
-      MVar Fresh = Ctx.freshLike(C->binder());
-      const Term *Renamed = substVar(Ctx, C->body(), C->binder(), Fresh);
-      return Ctx.caseOf(Scrut, Fresh,
-                        substVar(Ctx, Renamed, Var, Replacement));
-    }
-    const Term *Body = substVar(Ctx, C->body(), Var, Replacement);
-    if (Scrut == C->scrut() && Body == C->body())
+    if (Scrut == C->scrut() && Binder == C->binder() && Body == C->body())
       return T;
-    return Ctx.caseOf(Scrut, C->binder(), Body);
+    return Ctx.caseOf(Scrut, Binder, Body);
   }
   case Term::TermKind::Con: {
+    // CON k [.. y ..] becomes CON k [.. a ..].
     const auto *C = cast<ConTerm>(T);
+    if (std::none_of(C->args().begin(), C->args().end(), Hits))
+      return T;
     std::vector<MAtom> Args(C->args().begin(), C->args().end());
-    bool Changed = false;
-    for (MAtom &A : Args) {
-      if (!A.IsLit && A.Var == Var) {
-        A = MAtom::anyVar(Replacement);
-        Changed = true;
-      }
-    }
-    return Changed ? Ctx.con(C->tag(), Args) : T;
+    for (MAtom &A : Args)
+      if (Hits(A))
+        A = By;
+    return Ctx.con(C->tag(), Args);
   }
   case Term::TermKind::Switch: {
     const auto *S = cast<SwitchTerm>(T);
-    const Term *Scrut = substVar(Ctx, S->scrut(), Var, Replacement);
+    const Term *Scrut = subst(Ctx, S->scrut(), Var, By);
     bool Changed = Scrut != S->scrut();
     std::vector<MAlt> Alts(S->alts().begin(), S->alts().end());
     // Keeps renamed binder arrays alive until switchOf copies them into
     // the arena.
     std::vector<std::vector<MVar>> Renames;
     for (MAlt &A : Alts) {
-      bool Shadowed = false;
-      for (MVar B : A.Binders)
-        Shadowed |= B == Var;
-      if (Shadowed)
-        continue;
-      // Freshen any binder equal to the replacement to avoid capture.
+      if (std::find(A.Binders.begin(), A.Binders.end(), Var) !=
+          A.Binders.end())
+        continue; // shadowed
       std::vector<MVar> Binders(A.Binders.begin(), A.Binders.end());
       const Term *Body = A.Body;
-      bool Renamed = false;
-      for (MVar &B : Binders) {
-        if (!(B == Replacement))
-          continue;
-        MVar Fresh = Ctx.freshLike(B);
-        Body = substVar(Ctx, Body, B, Fresh);
-        B = Fresh;
-        Renamed = true;
-      }
-      const Term *NewBody = substVar(Ctx, Body, Var, Replacement);
-      if (!Renamed && NewBody == A.Body)
+      for (MVar &B : Binders)
+        avoidCapture(Ctx, B, By, {&Body});
+      bool Renamed = !std::equal(Binders.begin(), Binders.end(),
+                                 A.Binders.begin());
+      Body = subst(Ctx, Body, Var, By);
+      if (!Renamed && Body == A.Body)
         continue;
       if (Renamed) {
         Renames.push_back(std::move(Binders));
-        A.Binders = std::span<const MVar>(Renames.back().data(),
-                                          Renames.back().size());
+        A.Binders = Renames.back();
       }
-      A.Body = NewBody;
+      A.Body = Body;
       Changed = true;
     }
     const Term *Def = S->defaultBody();
     if (Def) {
-      const Term *NewDef = substVar(Ctx, Def, Var, Replacement);
+      const Term *NewDef = subst(Ctx, Def, Var, By);
       Changed |= NewDef != Def;
       Def = NewDef;
     }
-    if (!Changed)
-      return T;
-    return Ctx.switchOf(Scrut, Alts, Def);
-  }
-  }
-  assert(false && "unknown term kind");
-  return T;
-}
-
-const Term *mcalc::substLit(MContext &Ctx, const Term *T, MVar Var,
-                            int64_t Lit) {
-  assert(Var.isInt() && "only integer variables carry literals");
-  switch (T->kind()) {
-  case Term::TermKind::Var:
-    return cast<VarTerm>(T)->var() == Var ? Ctx.lit(Lit) : T;
-  case Term::TermKind::Lit:
-  case Term::TermKind::DLit:
-  case Term::TermKind::ConLit:
-  case Term::TermKind::Error:
-    return T;
-  case Term::TermKind::ConVar: {
-    const auto *C = cast<ConVarTerm>(T);
-    return C->var() == Var ? Ctx.conLit(Lit) : T;
-  }
-  case Term::TermKind::AppVar: {
-    const auto *A = cast<AppVarTerm>(T);
-    const Term *Fn = substLit(Ctx, A->fn(), Var, Lit);
-    if (A->arg() == Var)
-      return Ctx.appLit(Fn, Lit); // t i becomes t n
-    if (Fn == A->fn())
-      return T;
-    return Ctx.appVar(Fn, A->arg());
-  }
-  case Term::TermKind::AppLit: {
-    const auto *A = cast<AppLitTerm>(T);
-    const Term *Fn = substLit(Ctx, A->fn(), Var, Lit);
-    if (Fn == A->fn())
-      return T;
-    return Ctx.appLit(Fn, A->lit());
-  }
-  case Term::TermKind::AppDbl: {
-    const auto *A = cast<AppDblTerm>(T);
-    const Term *Fn = substLit(Ctx, A->fn(), Var, Lit);
-    if (Fn == A->fn())
-      return T;
-    return Ctx.appDbl(Fn, A->lit());
-  }
-  case Term::TermKind::Lam: {
-    const auto *L = cast<LamTerm>(T);
-    if (L->param() == Var)
-      return T; // shadowed
-    const Term *Body = substLit(Ctx, L->body(), Var, Lit);
-    if (Body == L->body())
-      return T;
-    return Ctx.lam(L->param(), Body);
-  }
-  case Term::TermKind::Let:
-  case Term::TermKind::LetBang: {
-    bool Strict = T->kind() == Term::TermKind::LetBang;
-    MVar Binder = Strict ? cast<LetBangTerm>(T)->binder()
-                         : cast<LetTerm>(T)->binder();
-    const Term *Rhs =
-        Strict ? cast<LetBangTerm>(T)->rhs() : cast<LetTerm>(T)->rhs();
-    const Term *Body =
-        Strict ? cast<LetBangTerm>(T)->body() : cast<LetTerm>(T)->body();
-    const Term *NewRhs = substLit(Ctx, Rhs, Var, Lit);
-    const Term *NewBody =
-        Binder == Var ? Body : substLit(Ctx, Body, Var, Lit);
-    if (NewRhs == Rhs && NewBody == Body)
-      return T;
-    return Strict ? Ctx.letBang(Binder, NewRhs, NewBody)
-                  : Ctx.let(Binder, NewRhs, NewBody);
-  }
-  case Term::TermKind::LetRec: {
-    // A pointer binder never equals an integer variable; recurse freely.
-    const auto *L = cast<LetRecTerm>(T);
-    const Term *NewRhs = substLit(Ctx, L->rhs(), Var, Lit);
-    const Term *NewBody = substLit(Ctx, L->body(), Var, Lit);
-    if (NewRhs == L->rhs() && NewBody == L->body())
-      return T;
-    return Ctx.letRec(L->binder(), NewRhs, NewBody);
-  }
-  case Term::TermKind::If0: {
-    const auto *I = cast<If0Term>(T);
-    const Term *Scrut = substLit(Ctx, I->scrut(), Var, Lit);
-    const Term *Then = substLit(Ctx, I->thenBranch(), Var, Lit);
-    const Term *Else = substLit(Ctx, I->elseBranch(), Var, Lit);
-    if (Scrut == I->scrut() && Then == I->thenBranch() &&
-        Else == I->elseBranch())
-      return T;
-    return Ctx.if0(Scrut, Then, Else);
-  }
-  case Term::TermKind::Case: {
-    const auto *C = cast<CaseTerm>(T);
-    const Term *Scrut = substLit(Ctx, C->scrut(), Var, Lit);
-    const Term *Body =
-        C->binder() == Var ? C->body() : substLit(Ctx, C->body(), Var, Lit);
-    if (Scrut == C->scrut() && Body == C->body())
-      return T;
-    return Ctx.caseOf(Scrut, C->binder(), Body);
-  }
-  case Term::TermKind::Prim: {
-    // i ⊕# j becomes n ⊕# j (ILET/IPOP write integer registers).
-    const auto *P = cast<PrimTerm>(T);
-    MAtom Lhs = P->lhs(), Rhs = P->rhs();
-    bool Changed = false;
-    if (!Lhs.IsLit && Lhs.Var == Var) {
-      Lhs = MAtom::lit(Lit);
-      Changed = true;
-    }
-    if (!Rhs.IsLit && Rhs.Var == Var) {
-      Rhs = MAtom::lit(Lit);
-      Changed = true;
-    }
-    return Changed ? Ctx.prim(P->op(), Lhs, Rhs) : T;
-  }
-  case Term::TermKind::Con: {
-    // CON k [.. i ..] becomes CON k [.. n ..].
-    const auto *C = cast<ConTerm>(T);
-    std::vector<MAtom> Args(C->args().begin(), C->args().end());
-    bool Changed = false;
-    for (MAtom &A : Args) {
-      if (!A.IsLit && A.Var == Var) {
-        A = MAtom::lit(Lit);
-        Changed = true;
-      }
-    }
-    return Changed ? Ctx.con(C->tag(), Args) : T;
-  }
-  case Term::TermKind::Switch: {
-    const auto *S = cast<SwitchTerm>(T);
-    const Term *Scrut = substLit(Ctx, S->scrut(), Var, Lit);
-    bool Changed = Scrut != S->scrut();
-    std::vector<MAlt> Alts(S->alts().begin(), S->alts().end());
-    for (MAlt &A : Alts) {
-      bool Shadowed = false;
-      for (MVar B : A.Binders)
-        Shadowed |= B == Var;
-      if (Shadowed)
-        continue;
-      const Term *NewBody = substLit(Ctx, A.Body, Var, Lit);
-      Changed |= NewBody != A.Body;
-      A.Body = NewBody;
-    }
-    const Term *Def = S->defaultBody();
-    if (Def) {
-      const Term *NewDef = substLit(Ctx, Def, Var, Lit);
-      Changed |= NewDef != Def;
-      Def = NewDef;
-    }
-    if (!Changed)
-      return T;
-    return Ctx.switchOf(Scrut, Alts, Def);
-  }
-  }
-  assert(false && "unknown term kind");
-  return T;
-}
-
-const Term *mcalc::substDbl(MContext &Ctx, const Term *T, MVar Var,
-                            double Lit) {
-  assert(Var.isDbl() && "only double variables carry double literals");
-  switch (T->kind()) {
-  case Term::TermKind::Var:
-    return cast<VarTerm>(T)->var() == Var ? Ctx.dlit(Lit) : T;
-  case Term::TermKind::Lit:
-  case Term::TermKind::DLit:
-  case Term::TermKind::ConLit:
-  case Term::TermKind::ConVar: // I# payloads are Int#; no double inside.
-  case Term::TermKind::Error:
-    return T;
-  case Term::TermKind::AppVar: {
-    const auto *A = cast<AppVarTerm>(T);
-    const Term *Fn = substDbl(Ctx, A->fn(), Var, Lit);
-    if (A->arg() == Var)
-      return Ctx.appDbl(Fn, Lit); // t f becomes t d
-    if (Fn == A->fn())
-      return T;
-    return Ctx.appVar(Fn, A->arg());
-  }
-  case Term::TermKind::AppLit: {
-    const auto *A = cast<AppLitTerm>(T);
-    const Term *Fn = substDbl(Ctx, A->fn(), Var, Lit);
-    if (Fn == A->fn())
-      return T;
-    return Ctx.appLit(Fn, A->lit());
-  }
-  case Term::TermKind::AppDbl: {
-    const auto *A = cast<AppDblTerm>(T);
-    const Term *Fn = substDbl(Ctx, A->fn(), Var, Lit);
-    if (Fn == A->fn())
-      return T;
-    return Ctx.appDbl(Fn, A->lit());
-  }
-  case Term::TermKind::Lam: {
-    const auto *L = cast<LamTerm>(T);
-    if (L->param() == Var)
-      return T; // shadowed
-    const Term *Body = substDbl(Ctx, L->body(), Var, Lit);
-    if (Body == L->body())
-      return T;
-    return Ctx.lam(L->param(), Body);
-  }
-  case Term::TermKind::Let:
-  case Term::TermKind::LetBang: {
-    bool Strict = T->kind() == Term::TermKind::LetBang;
-    MVar Binder = Strict ? cast<LetBangTerm>(T)->binder()
-                         : cast<LetTerm>(T)->binder();
-    const Term *Rhs =
-        Strict ? cast<LetBangTerm>(T)->rhs() : cast<LetTerm>(T)->rhs();
-    const Term *Body =
-        Strict ? cast<LetBangTerm>(T)->body() : cast<LetTerm>(T)->body();
-    const Term *NewRhs = substDbl(Ctx, Rhs, Var, Lit);
-    const Term *NewBody =
-        Binder == Var ? Body : substDbl(Ctx, Body, Var, Lit);
-    if (NewRhs == Rhs && NewBody == Body)
-      return T;
-    return Strict ? Ctx.letBang(Binder, NewRhs, NewBody)
-                  : Ctx.let(Binder, NewRhs, NewBody);
-  }
-  case Term::TermKind::LetRec: {
-    const auto *L = cast<LetRecTerm>(T);
-    const Term *NewRhs = substDbl(Ctx, L->rhs(), Var, Lit);
-    const Term *NewBody = substDbl(Ctx, L->body(), Var, Lit);
-    if (NewRhs == L->rhs() && NewBody == L->body())
-      return T;
-    return Ctx.letRec(L->binder(), NewRhs, NewBody);
-  }
-  case Term::TermKind::If0: {
-    const auto *I = cast<If0Term>(T);
-    const Term *Scrut = substDbl(Ctx, I->scrut(), Var, Lit);
-    const Term *Then = substDbl(Ctx, I->thenBranch(), Var, Lit);
-    const Term *Else = substDbl(Ctx, I->elseBranch(), Var, Lit);
-    if (Scrut == I->scrut() && Then == I->thenBranch() &&
-        Else == I->elseBranch())
-      return T;
-    return Ctx.if0(Scrut, Then, Else);
-  }
-  case Term::TermKind::Case: {
-    const auto *C = cast<CaseTerm>(T);
-    const Term *Scrut = substDbl(Ctx, C->scrut(), Var, Lit);
-    const Term *Body =
-        C->binder() == Var ? C->body() : substDbl(Ctx, C->body(), Var, Lit);
-    if (Scrut == C->scrut() && Body == C->body())
-      return T;
-    return Ctx.caseOf(Scrut, C->binder(), Body);
-  }
-  case Term::TermKind::Prim: {
-    // f ⊕## a becomes d ⊕## a (DLET/DPOP write double registers).
-    const auto *P = cast<PrimTerm>(T);
-    MAtom Lhs = P->lhs(), Rhs = P->rhs();
-    bool Changed = false;
-    if (!Lhs.IsLit && Lhs.Var == Var) {
-      Lhs = MAtom::dlit(Lit);
-      Changed = true;
-    }
-    if (!Rhs.IsLit && Rhs.Var == Var) {
-      Rhs = MAtom::dlit(Lit);
-      Changed = true;
-    }
-    return Changed ? Ctx.prim(P->op(), Lhs, Rhs) : T;
-  }
-  case Term::TermKind::Con: {
-    // CON k [.. f ..] becomes CON k [.. d ..].
-    const auto *C = cast<ConTerm>(T);
-    std::vector<MAtom> Args(C->args().begin(), C->args().end());
-    bool Changed = false;
-    for (MAtom &A : Args) {
-      if (!A.IsLit && A.Var == Var) {
-        A = MAtom::dlit(Lit);
-        Changed = true;
-      }
-    }
-    return Changed ? Ctx.con(C->tag(), Args) : T;
-  }
-  case Term::TermKind::Switch: {
-    const auto *S = cast<SwitchTerm>(T);
-    const Term *Scrut = substDbl(Ctx, S->scrut(), Var, Lit);
-    bool Changed = Scrut != S->scrut();
-    std::vector<MAlt> Alts(S->alts().begin(), S->alts().end());
-    for (MAlt &A : Alts) {
-      bool Shadowed = false;
-      for (MVar B : A.Binders)
-        Shadowed |= B == Var;
-      if (Shadowed)
-        continue;
-      const Term *NewBody = substDbl(Ctx, A.Body, Var, Lit);
-      Changed |= NewBody != A.Body;
-      A.Body = NewBody;
-    }
-    const Term *Def = S->defaultBody();
-    if (Def) {
-      const Term *NewDef = substDbl(Ctx, Def, Var, Lit);
-      Changed |= NewDef != Def;
-      Def = NewDef;
-    }
-    if (!Changed)
-      return T;
-    return Ctx.switchOf(Scrut, Alts, Def);
+    return Changed ? Ctx.switchOf(Scrut, Alts, Def) : T;
   }
   }
   assert(false && "unknown term kind");

@@ -388,9 +388,10 @@ int64_t evalMPrim(MPrim Op, int64_t Lhs, int64_t Rhs);
 double evalMPrimDD(MPrim Op, double Lhs, double Rhs);
 int64_t evalMPrimDI(MPrim Op, double Lhs, double Rhs);
 
-/// An unboxed-register atom: i, f, n, or d. ILET/IPOP (and their double
-/// counterparts) substitution turns the variable forms into the literal
-/// forms.
+/// An atom: a variable y (primop atoms are unboxed: i or f), an Int#
+/// literal n, or a Double# literal d. It is also what `subst` replaces a
+/// variable by, so ILET/IPOP (and their double counterparts) turn the
+/// variable forms into the literal forms.
 struct MAtom {
   bool IsLit = false;
   bool IsDbl = false;  ///< Selects the double payload/sort.
@@ -426,6 +427,13 @@ struct MAtom {
     A.IsDbl = true;
     A.DblLit = D;
     return A;
+  }
+
+  /// The register class the atom occupies.
+  VarSort sort() const {
+    if (!IsLit)
+      return Var.Sort;
+    return IsDbl ? VarSort::Dbl : VarSort::Int;
   }
 
   std::string str() const {
@@ -648,18 +656,17 @@ private:
 /// \returns true for values w ::= λy.t | I#[n] | n | d (Figure 5).
 bool isValue(const Term *T);
 
-/// Capture-avoiding t[Replacement/Var] where the replacement is a variable
-/// of the same sort (PPOP). Substituting into I#[y] keeps the form.
-const Term *substVar(MContext &Ctx, const Term *T, MVar Var, MVar
-                     Replacement);
-
-/// Capture-avoiding t[n/i] where i is an integer variable (IPOP, ILET,
-/// IMAT). Substituting into I#[i] yields I#[n]; into `t i` yields `t n`.
-const Term *substLit(MContext &Ctx, const Term *T, MVar Var, int64_t Lit);
-
-/// Capture-avoiding t[d/f] where f is a double variable (DPOP, DLET).
-/// Substituting into `t f` yields `t d`.
-const Term *substDbl(MContext &Ctx, const Term *T, MVar Var, double Lit);
+/// Capture-avoiding t[By/Var]: the one substitution behind PPOP, IPOP
+/// and DPOP, the LET/RECLET address binding, ILET/DLET, IMAT and SWITCHk.
+/// \p By must have \p Var's register class: a variable of the same sort,
+/// an `Int#` literal for an integer variable, or a `Double#` literal for a
+/// double variable. The form of each rewritten occurrence follows \p By:
+/// `y` becomes a variable or literal term, `I#[i]` becomes `I#[y']` or
+/// `I#[n]`, `t y` becomes `t y'`, `t n` or `t d`, and primop and CON atoms
+/// are replaced in place. A binder equal to \p Var stops the walk; a
+/// binder equal to a variable \p By is freshened first. Unchanged
+/// subtrees are shared.
+const Term *subst(MContext &Ctx, const Term *T, MVar Var, MAtom By);
 
 } // namespace mcalc
 } // namespace levity

@@ -38,10 +38,14 @@ using namespace levity;
 
 namespace {
 
+/// Padding-free on purpose: gtest names each instance after the raw
+/// bytes of its parameter, and padding bytes would hold whatever the
+/// stack held, giving the same test a different ctest name per build.
 struct SimParams {
   uint64_t Seed;
-  unsigned MaxDepth;
+  uint64_t MaxDepth;
 };
+static_assert(sizeof(SimParams) == 2 * sizeof(uint64_t), "no padding bytes");
 
 class SimulationTest : public ::testing::TestWithParam<SimParams> {};
 

@@ -277,17 +277,17 @@ TEST(ArtifactStoreTest, WrongFormatVersionFallsBackToRecompile) {
 
 TEST(ArtifactStoreTest, PreviousFormatVersionArtifactRejected) {
   // Version skew: an artifact carrying the previous release's format
-  // version (v3, with M terms and an optional BCOD section) must be
+  // version (v4, whose META began with a default-backend byte) must be
   // treated as a miss and recompiled cleanly — even with a valid
   // checksum.
-  static_assert(levc::FormatVersion == 4,
+  static_assert(levc::FormatVersion == 5,
                 "update this test when bumping the format version");
   std::string Dir = freshStoreDir("oldversion");
   std::string Path = populateOne(Dir, RobustSrc);
 
   std::string Bytes = *support::readFileBinary(Path);
   ASSERT_TRUE(support::writeFileAtomic(
-      Path, patchAndReseal(Bytes, 4, /*Value=*/3, 4)));
+      Path, patchAndReseal(Bytes, 4, /*Value=*/4, 4)));
 
   // Direct deserialization also refuses it.
   std::string Patched = *support::readFileBinary(Path);

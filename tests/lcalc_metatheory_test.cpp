@@ -28,10 +28,14 @@ using namespace levity::lcalc;
 
 namespace {
 
+/// Padding-free on purpose: gtest names each instance after the raw
+/// bytes of its parameter, and padding bytes would hold whatever the
+/// stack held, giving the same test a different ctest name per build.
 struct GenParams {
   uint64_t Seed;
-  unsigned MaxDepth;
+  uint64_t MaxDepth;
 };
+static_assert(sizeof(GenParams) == 2 * sizeof(uint64_t), "no padding bytes");
 
 class MetatheoryTest : public ::testing::TestWithParam<GenParams> {};
 

@@ -28,6 +28,7 @@ protected:
 
   MVar p(std::string_view N) { return {C.symbols().intern(N), VarSort::Ptr}; }
   MVar i(std::string_view N) { return {C.symbols().intern(N), VarSort::Int}; }
+  MVar f(std::string_view N) { return {C.symbols().intern(N), VarSort::Dbl}; }
 
   int64_t runToLit(const Term *T) {
     MachineResult R = M.run(T);
@@ -236,26 +237,26 @@ TEST_F(MachineTest, UnresolvedIntVarSticks) {
 TEST_F(MachineTest, SubstLitConvertsForms) {
   // I#[n][5/n] = I#[5]; (t n)[5/n] = t 5.
   const Term *T = C.appVar(C.conVar(i("n")), i("n"));
-  const Term *Out = substLit(C, T, i("n"), 5);
+  const Term *Out = subst(C, T, i("n"), MAtom::lit(5));
   EXPECT_EQ(Out->str(), "I#[5] 5");
 }
 
 TEST_F(MachineTest, SubstVarRenames) {
   const Term *T = C.appVar(C.var(p("x")), p("x"));
-  const Term *Out = substVar(C, T, p("x"), p("y"));
+  const Term *Out = subst(C, T, p("x"), MAtom::anyVar(p("y")));
   EXPECT_EQ(Out->str(), "y y");
 }
 
 TEST_F(MachineTest, SubstShadowingStops) {
   // (λx. x)[y/x] = λx. x.
   const Term *T = C.lam(p("x"), C.var(p("x")));
-  EXPECT_EQ(substVar(C, T, p("x"), p("y")), T);
+  EXPECT_EQ(subst(C, T, p("x"), MAtom::anyVar(p("y"))), T);
 }
 
 TEST_F(MachineTest, SubstAvoidsCapture) {
   // (λy. x)[y/x] must freshen the binder.
   const Term *T = C.lam(p("y"), C.var(p("x")));
-  const Term *Out = substVar(C, T, p("x"), p("y"));
+  const Term *Out = subst(C, T, p("x"), MAtom::anyVar(p("y")));
   const auto *L = cast<LamTerm>(Out);
   EXPECT_NE(L->param(), p("y"));
   EXPECT_EQ(cast<VarTerm>(L->body())->var(), p("y"));
@@ -266,8 +267,96 @@ TEST_F(MachineTest, SubstIntoLetRhsAndBody) {
   MVar Q = p("q");
   const Term *T =
       C.let(Q, C.var(p("x")), C.appVar(C.var(Q), p("x")));
-  const Term *Out = substVar(C, T, p("x"), p("y"));
+  const Term *Out = subst(C, T, p("x"), MAtom::anyVar(p("y")));
   EXPECT_EQ(Out->str(), "let q = y in q y");
+}
+
+TEST_F(MachineTest, SubstDblConvertsForms) {
+  // DPOP/DLET: f becomes d, t f becomes t d, and d lands in primop and
+  // CON field atoms.
+  MVar F = f("f");
+  MAtom D = MAtom::dlit(2.5);
+  EXPECT_EQ(subst(C, C.var(F), F, D)->str(), "2.5##");
+  EXPECT_EQ(subst(C, C.appVar(C.var(p("g")), F), F, D)->str(), "g 2.5##");
+  const Term *P =
+      subst(C, C.prim(MPrim::DAdd, MAtom::var(F), MAtom::var(f("h"))), F, D);
+  EXPECT_EQ(P->str(), "2.5 +## h");
+  EXPECT_TRUE(cast<PrimTerm>(P)->lhs().IsDbl);
+  MAtom Fields[] = {MAtom::anyVar(p("x")), MAtom::var(F)};
+  const Term *K = subst(C, C.con(1, Fields), F, D);
+  EXPECT_EQ(K->str(), "CON 1 [x, 2.5]");
+  EXPECT_TRUE(isValue(K));
+  // An untouched term comes back as the same node.
+  const Term *Other = C.appVar(C.var(p("g")), f("h"));
+  EXPECT_EQ(subst(C, Other, F, D), Other);
+}
+
+TEST_F(MachineTest, SubstStopsAtShadowingCaseAndLetrec) {
+  // (case I#[n] of I#[n] -> n)[5/n]: the scrutinee is rewritten, the
+  // body is not.
+  const Term *Case = C.caseOf(C.conVar(i("n")), i("n"), C.var(i("n")));
+  EXPECT_EQ(subst(C, Case, i("n"), MAtom::lit(5))->str(),
+            "case I#[5] of I#[n] -> n");
+  // letrec r binds r in both halves: (letrec r = r in r)[y/r] is itself.
+  const Term *Rec = C.letRec(p("r"), C.var(p("r")), C.var(p("r")));
+  EXPECT_EQ(subst(C, Rec, p("r"), MAtom::anyVar(p("y"))), Rec);
+}
+
+TEST_F(MachineTest, SubstAvoidsCaptureUnderCaseAndLetrec) {
+  // (case I#[1] of I#[m] -> m +# n)[m/n] freshens m.
+  const Term *Case =
+      C.caseOf(C.conLit(1), i("m"),
+               C.prim(MPrim::Add, MAtom::var(i("m")), MAtom::var(i("n"))));
+  const auto *CO =
+      cast<CaseTerm>(subst(C, Case, i("n"), MAtom::anyVar(i("m"))));
+  EXPECT_NE(CO->binder(), i("m"));
+  const auto *Sum = cast<PrimTerm>(CO->body());
+  EXPECT_EQ(Sum->lhs().Var, CO->binder());
+  EXPECT_EQ(Sum->rhs().Var, i("m"));
+  // (letrec y = y x in y x)[y/x] freshens y in both halves.
+  const Term *Knot = C.appVar(C.var(p("y")), p("x"));
+  const auto *LR =
+      cast<LetRecTerm>(subst(C, C.letRec(p("y"), Knot, Knot), p("x"),
+                             MAtom::anyVar(p("y"))));
+  EXPECT_NE(LR->binder(), p("y"));
+  for (const Term *Half : {LR->rhs(), LR->body()}) {
+    const auto *A = cast<AppVarTerm>(Half);
+    EXPECT_EQ(cast<VarTerm>(A->fn())->var(), LR->binder());
+    EXPECT_EQ(A->arg(), p("y"));
+  }
+}
+
+TEST_F(MachineTest, SubstRespectsSwitchAlternativeBinders) {
+  // switch s of { CON 0 [x] -> x y ; CON 1 [y] -> y x ; _ -> x }[y/x]:
+  // the first alternative is shadowed, the second freshens y.
+  MVar X = p("x"), Y = p("y");
+  MAlt Alts[2];
+  Alts[0].Tag = 0;
+  Alts[0].Binders = {&X, 1};
+  Alts[0].Body = C.appVar(C.var(X), Y);
+  Alts[1].Tag = 1;
+  Alts[1].Binders = {&Y, 1};
+  Alts[1].Body = C.appVar(C.var(Y), X);
+  const auto *S =
+      cast<SwitchTerm>(subst(C, C.switchOf(C.var(p("s")), Alts, C.var(X)), X,
+                             MAtom::anyVar(Y)));
+  EXPECT_EQ(S->alts()[0].Body, Alts[0].Body);
+  EXPECT_EQ(S->alts()[0].Binders[0], X);
+  MVar Fresh = S->alts()[1].Binders[0];
+  EXPECT_NE(Fresh, Y);
+  const auto *A = cast<AppVarTerm>(S->alts()[1].Body);
+  EXPECT_EQ(cast<VarTerm>(A->fn())->var(), Fresh);
+  EXPECT_EQ(A->arg(), Y);
+  EXPECT_EQ(S->defaultBody()->str(), "y");
+  // A literal stops at an Int# binder of the same name.
+  MVar N = i("n");
+  MAlt IntAlt;
+  IntAlt.Tag = 0;
+  IntAlt.Binders = {&N, 1};
+  IntAlt.Body = C.var(N);
+  const Term *Sw = C.switchOf(C.var(p("s")), {&IntAlt, 1}, C.var(N));
+  EXPECT_EQ(subst(C, Sw, N, MAtom::lit(4))->str(),
+            "switch s of { CON 0 [n] -> n ; _ -> 4 }");
 }
 
 TEST_F(MachineTest, StatsCountSteps) {
@@ -296,8 +385,6 @@ TEST_F(MachineTest, PrintsReadably) {
 
 class SwitchTest : public MachineTest {
 protected:
-  MVar f(std::string_view N) { return {C.symbols().intern(N), VarSort::Dbl}; }
-
   /// switch Scrut of { CON 0 [] -> 10 ; CON 1 [n] -> n ; _ -> Def }.
   const Term *twoConSwitch(const Term *Scrut, const Term *Def) {
     MVar N = i("n");
