@@ -5,20 +5,26 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Runs the Section 8.1 class-generalizability analysis through the
-// driver::Session facade, so it rides the same stage-timing report as
-// every other pipeline trip.
+// Runs the Section 8.1 class-generalizability analysis and prints its
+// verdict table, then the analysis stage timings in the driver's standard
+// one-line-per-stage report.
 //
 //===----------------------------------------------------------------------===//
 
+#include "classlib/Analysis.h"
 #include "driver/Session.h"
 
 #include <cstdio>
 
+using namespace levity;
+
 int main() {
-  levity::driver::Session S;
-  levity::driver::CatalogAnalysis A = S.analyzeCatalog();
-  std::printf("%s", A.table().c_str());
-  std::printf("\nanalysis stages:\n%s", A.timingReport().c_str());
-  return A.ok() ? 0 : 1;
+  classlib::AnalysisReport R = classlib::runClassAnalysis();
+  std::vector<driver::StageTiming> Timings;
+  for (const classlib::AnalysisReport::Stage &St : R.Stages)
+    Timings.push_back({St.Name, St.Millis});
+  std::printf("%s", classlib::formatReport(R).c_str());
+  std::printf("\nanalysis stages:\n%s",
+              driver::formatStageTimings(Timings).c_str());
+  return R.NumClasses > 0 ? 0 : 1;
 }

@@ -8,12 +8,14 @@
 // Builds an L term (Figure 2), typechecks it (Figure 3), steps it with
 // the type-directed semantics (Figure 4), compiles it to M (Figure 7)
 // and runs the abstract machine (Figure 6) — the paper's whole formal
-// development, on one example, through the same driver::Session facade
-// the surface pipeline uses.
+// development, on one example, through the lcalc::Pipeline harness.
+// Exits nonzero when a machine answer is not the expected one or the
+// Section 5.1 binder is accepted.
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Session.h"
+#include "lcalc/Eval.h"
+#include "lcalc/Pipeline.h"
 
 #include <cstdio>
 
@@ -32,20 +34,24 @@ const Expr *buildGen(LContext &L) {
                        L.app(L.var(F), L.con(L.intLit(7))))));
 }
 
+/// Machine fuel per run: far more than either instantiation needs.
+constexpr uint64_t Fuel = 1000000;
+
 } // namespace
 
 int main() {
-  driver::Session S;
+  int Failures = 0;
 
-  // The polymorphic function itself, typechecked through the facade.
-  auto Gen = S.compileFormal(buildGen);
-  std::printf("== the L term ==\n%s\n", Gen->formalTerm()->str().c_str());
-  Result<const Type *> GenTy = Gen->formalType();
+  // The polymorphic function itself, typechecked by the harness.
+  Pipeline Gen(buildGen);
+  std::printf("== the L term ==\n%s\n", Gen.term()->str().c_str());
+  const Result<const Type *> &GenTy = Gen.type();
   std::printf(" : %s\n\n", GenTy ? (*GenTy)->str().c_str() : "<ill-typed>");
 
   struct Variant {
     const char *Name;
     const Expr *(*Build)(LContext &);
+    const char *Expected; ///< The machine's answer.
   };
   const Variant Variants[] = {
       // Boxed instantiation: id at Int.
@@ -55,7 +61,8 @@ int main() {
              L.tyApp(L.repApp(buildGen(L), RuntimeRep::pointer()),
                      L.intTy()),
              L.lam(L.sym("n"), L.intTy(), L.var(L.sym("n"))));
-       }},
+       },
+       "I# 7#"},
       // Unboxed instantiation: unbox at Int#.
       {"instantiated at I/Int#",
        [](LContext &L) {
@@ -65,19 +72,20 @@ int main() {
              L.lam(L.sym("n"), L.intTy(),
                    L.caseOf(L.var(L.sym("n")), L.sym("m"),
                             L.var(L.sym("m")))));
-       }},
+       },
+       "7#"},
   };
 
   for (const Variant &V : Variants) {
     std::printf("== %s ==\n", V.Name);
-    auto Comp = S.compileFormal(V.Build);
-    Result<const Type *> Ty = Comp->formalType();
+    Pipeline P(V.Build);
+    const Result<const Type *> &Ty = P.type();
     std::printf("L type: %s\n", Ty ? (*Ty)->str().c_str() : "<error>");
 
     // Small-step trace (first few rules) — Figure 4, driven directly so
     // the rule names are visible.
-    Evaluator Ev(Comp->lctx());
-    const Expr *Cur = Comp->formalTerm();
+    Evaluator Ev(P.ctx());
+    const Expr *Cur = P.term();
     TypeEnv Env;
     for (int Step = 0; Step != 4; ++Step) {
       StepResult R = Ev.step(Env, Cur);
@@ -89,10 +97,11 @@ int main() {
     }
 
     // Compile to M (Figure 7) and run the machine (Figure 6) — one
-    // facade call.
-    driver::RunResult MR =
-        Comp->run(driver::Backend::AbstractMachine);
-    if (MR.St == driver::RunResult::Status::Unsupported) {
+    // harness call.
+    PipelineResult MR = P.run(Engine::Machine, Fuel);
+    if (!MR.ok() || MR.Display != V.Expected)
+      ++Failures;
+    if (MR.St == PipelineResult::Status::Unsupported) {
       std::printf("compilation failed: %s\n", MR.Error.c_str());
       continue;
     }
@@ -107,15 +116,17 @@ int main() {
 
   // The restriction in action: a levity-polymorphic binder cannot
   // typecheck (E_LAM's highlighted premise).
-  auto Bad = S.compileFormal([](LContext &L) {
+  Pipeline Bad([](LContext &L) {
     Symbol R = L.sym("r"), A = L.sym("a");
     return L.repLam(
         R, L.tyLam(A, LKind::typeVar(R),
                    L.lam(L.sym("x"), L.varTy(A), L.var(L.sym("x")))));
   });
-  Result<const Type *> BadTy = Bad->formalType();
+  const Result<const Type *> &BadTy = Bad.type();
+  if (BadTy)
+    ++Failures;
   std::printf("== the restriction (Section 5.1) ==\n%s\nrejected: %s\n",
-              Bad->formalTerm()->str().c_str(),
+              Bad.term()->str().c_str(),
               BadTy ? "<unexpectedly accepted>" : BadTy.error().c_str());
-  return 0;
+  return Failures ? 1 : 0;
 }

@@ -41,8 +41,8 @@ struct AnalysisReport {
   /// Six generalized functions (name, elaborated type) — empty on error.
   std::vector<std::pair<std::string, std::string>> GeneralizedFunctions;
 
-  /// Wall-clock per analysis stage, in run order (the driver renders
-  /// these through its standard timing report — Session::analyzeCatalog).
+  /// Wall-clock per analysis stage, in run order (examples/class_catalog
+  /// prints them through driver::formatStageTimings).
   struct Stage {
     std::string Name;
     double Millis = 0;

@@ -66,12 +66,12 @@ public:
   const Compilation &compilation() const { return *Comp; }
 
   /// This executor's private option copy: tweak fuel (MaxInterpSteps,
-  /// MaxMachineSteps, MaxFormalSteps) or the default backend per thread.
+  /// MaxMachineSteps, MaxVmSteps) or the default backend per thread.
   CompileOptions &options() { return Opts; }
   const CompileOptions &options() const { return Opts; }
 
   //===------------------------------------------------------------------===//
-  // Running surface/programmatic compilations
+  // Running
   //===------------------------------------------------------------------===//
 
   /// Evaluates top-level \p Name on the executor's default backend.
@@ -84,16 +84,6 @@ public:
   /// out-of-bytecode-fragment global) first triggers the lazy front-end
   /// rebuild, once.
   RunResult run(std::string_view Name, Backend B);
-
-  //===------------------------------------------------------------------===//
-  // Running formal compilations (Section 6)
-  //===------------------------------------------------------------------===//
-
-  /// Runs a compileFormal term on the executor's default backend.
-  RunResult run();
-  /// Runs a compileFormal term: Figure 4 small-step semantics on
-  /// TreeInterp, Figures 5-7 (ANF → the M machine) on AbstractMachine.
-  RunResult run(Backend B);
 
   //===------------------------------------------------------------------===//
   // The raw interpreter (cost-model workloads)
@@ -116,7 +106,6 @@ private:
   RunResult runTree(std::string_view Name);
   RunResult runMachine(std::string_view Name);
   RunResult runBytecode(std::string_view Name);
-  RunResult runFormal(Backend B);
 
   /// This executor's VM instance (built on first bytecode run; its
   /// stacks/heap are reused across runs, like the tree interpreter).
@@ -130,8 +119,8 @@ private:
   /// growing the shared arena forever. Restarting the name counter is
   /// sound because Symbol identity is per-table: a run-minted "p0" can
   /// never collide with a compiled term's "p0" (different SymbolTables).
-  /// A run's answer is read (Executor.cpp's one printer) before the next
-  /// reset.
+  /// A run's answer is read (driver/Answer.h, the one printer) before the
+  /// next reset.
   mcalc::MContext &runContext();
 
   std::shared_ptr<const Compilation> Comp;

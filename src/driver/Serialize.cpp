@@ -336,8 +336,6 @@ levc::readBytecodeModule(ByteReader &R) {
 Result<std::string> Compilation::serializeArtifact() const {
   if (!Succeeded)
     return err("cannot serialize a failed compilation");
-  if (FormalTerm)
-    return err("formal compilations are not serializable");
   if (SrcHash == 0)
     return err("programmatic compilations are not serializable "
                "(no source to key the store by)");

@@ -119,28 +119,6 @@ void Compilation::adoptProgram(
   Succeeded = true;
 }
 
-void Compilation::buildFormal(
-    const std::function<const lcalc::Expr *(lcalc::LContext &)> &Build) {
-  MachinePipeline &MP = machine();
-  auto Start = std::chrono::steady_clock::now();
-  FormalTerm = Build(MP.L);
-  Timings.push_back({"build-term", millisSince(Start)});
-  if (!FormalTerm) {
-    Diags.error(DiagCode::Internal, "formal term builder returned null");
-    return;
-  }
-
-  Start = std::chrono::steady_clock::now();
-  lcalc::TypeChecker TC(MP.L);
-  FormalTy = TC.typeOfClosed(FormalTerm);
-  Timings.push_back({"typecheck", millisSince(Start)});
-  if (!*FormalTy) {
-    Diags.error(DiagCode::TypeError, (*FormalTy).error());
-    return;
-  }
-  Succeeded = true;
-}
-
 Compilation::MachinePipeline &Compilation::machine() const {
   std::call_once(MachineOnce,
                  [this] { Machine = std::make_unique<MachinePipeline>(); });
@@ -227,21 +205,6 @@ Compilation::machineTerm(std::string_view Name) const {
   return Out;
 }
 
-Result<const mcalc::Term *> Compilation::formalMachineTerm() const {
-  MachinePipeline &MP = machine();
-  {
-    std::shared_lock<std::shared_mutex> Lock(MP.LowerMutex);
-    if (MP.FormalM)
-      return *MP.FormalM;
-  }
-  std::unique_lock<std::shared_mutex> Lock(MP.LowerMutex);
-  if (!MP.FormalM) {
-    anf::Compiler Comp(MP.L, MP.MC);
-    MP.FormalM = Comp.compileClosed(FormalTerm);
-  }
-  return *MP.FormalM;
-}
-
 Result<const bytecode::Module *>
 Compilation::bytecodeModule(std::string_view Name) const {
   MachinePipeline &MP = machine();
@@ -267,24 +230,6 @@ Compilation::bytecodeModule(std::string_view Name) const {
                     : err(It->second.error());
 }
 
-Result<const bytecode::Module *> Compilation::formalBytecodeModule() const {
-  Result<const mcalc::Term *> MT = formalMachineTerm(); // Before our lock.
-  MachinePipeline &MP = machine();
-  {
-    std::shared_lock<std::shared_mutex> Lock(MP.LowerMutex);
-    if (MP.FormalB)
-      return *MP.FormalB ? Result<const bytecode::Module *>((*MP.FormalB)->get())
-                         : err(MP.FormalB->error());
-  }
-  if (!MT)
-    return err(MT.error());
-  std::unique_lock<std::shared_mutex> Lock(MP.LowerMutex);
-  if (!MP.FormalB)
-    MP.FormalB = bytecode::compile(*MT);
-  return *MP.FormalB ? Result<const bytecode::Module *>((*MP.FormalB)->get())
-                     : err(MP.FormalB->error());
-}
-
 //===----------------------------------------------------------------------===//
 // Compilation — const run dispatch (transient Executor per call)
 //===----------------------------------------------------------------------===//
@@ -298,20 +243,7 @@ RunResult Compilation::run(std::string_view Name, Backend B) const {
   return Ex.run(Name, B);
 }
 
-RunResult Compilation::run() const { return run(Opts.DefaultBackend); }
-
-RunResult Compilation::run(Backend B) const {
-  Executor Ex(shared_from_this());
-  return Ex.run(B);
-}
-
 lcalc::LContext &Compilation::lctx() const { return machine().L; }
-
-Result<const lcalc::Type *> Compilation::formalType() const {
-  if (FormalTy)
-    return *FormalTy;
-  return err("not a formal compilation");
-}
 
 //===----------------------------------------------------------------------===//
 // Session — the sharded, LRU-bounded compilation cache
@@ -602,20 +534,11 @@ std::shared_ptr<Compilation> Session::compileProgram(
   return Comp;
 }
 
-std::shared_ptr<Compilation> Session::compileFormal(
-    const std::function<const lcalc::Expr *(lcalc::LContext &)> &Build) {
-  auto Comp = std::shared_ptr<Compilation>(new Compilation(Opts));
-  Comp->buildFormal(Build);
-  NumCompilations.fetch_add(1, std::memory_order_relaxed);
-  return Comp;
-}
-
 Session::Stats Session::stats() const {
   Stats St;
   St.Compilations = NumCompilations.load(std::memory_order_relaxed);
   St.CacheHits = NumCacheHits.load(std::memory_order_relaxed);
   St.Evictions = NumEvictions.load(std::memory_order_relaxed);
-  St.Analyses = NumAnalyses.load(std::memory_order_relaxed);
   St.DiskHits = NumDiskHits.load(std::memory_order_relaxed);
   St.DiskMisses = NumDiskMisses.load(std::memory_order_relaxed);
   St.DiskEvictions = NumDiskEvictions.load(std::memory_order_relaxed);
@@ -664,22 +587,8 @@ Session::runAll(std::span<const RunRequest> Requests) {
       O.MaxInterpSteps = *Req.Fuel;
       O.MaxMachineSteps = *Req.Fuel;
       O.MaxVmSteps = *Req.Fuel;
-      O.MaxFormalSteps = static_cast<size_t>(*Req.Fuel);
     }
     Out.push_back(Ex.run(Req.Name, Req.B.value_or(Opts.DefaultBackend)));
   }
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Session — the Section 8.1 catalog analysis
-//===----------------------------------------------------------------------===//
-
-CatalogAnalysis Session::analyzeCatalog() {
-  CatalogAnalysis A;
-  A.Report = classlib::runClassAnalysis();
-  for (const classlib::AnalysisReport::Stage &St : A.Report.Stages)
-    A.Timings.push_back({St.Name, St.Millis});
-  NumAnalyses.fetch_add(1, std::memory_order_relaxed);
-  return A;
 }

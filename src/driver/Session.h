@@ -40,14 +40,10 @@
 /// already-lowered backends). Concurrent compiles of the same new source
 /// build it exactly once; the other threads block on the winner's result.
 ///
-/// The same Compilation abstraction also hosts the paper's *formal*
-/// pipeline (Section 6): Session::compileFormal builds an L term,
-/// typechecks it (Figure 3), and runs it either with the type-directed
-/// small-step semantics (Figure 4) or compiled to the M machine
-/// (Figures 5-7) — one API, one diagnostics sink, one stats report for
-/// both the production and the formal chain. Session::analyzeCatalog
-/// routes the Section 8.1 class-generalizability analysis through the
-/// same stage-timing report.
+/// A Compilation is one thing: a compiled surface or core program. The
+/// paper's formal development (Section 6: hand-built L terms through
+/// Figures 3-7) runs in its own harness, lcalc/Pipeline.h, and the
+/// Section 8.1 catalog analysis is classlib::runClassAnalysis.
 ///
 /// The low-level pass headers (surface/, core/, runtime/, …) stay public
 /// for unit tests; new code should use this facade.
@@ -59,8 +55,6 @@
 
 #include "anf/Compile.h"
 #include "bytecode/Vm.h"
-#include "classlib/Analysis.h"
-#include "lcalc/Eval.h"
 #include "mcalc/Machine.h"
 #include "runtime/Interp.h"
 #include "surface/Elaborate.h"
@@ -106,7 +100,8 @@ enum class CompileOutcome : uint8_t {
   DiskHit   ///< Rehydrated from the on-disk `.levc` store.
 };
 
-/// Knobs for a Session. One options struct covers both pipelines.
+/// Knobs for a Session: backend, fuel, the compilation cache and the
+/// on-disk store.
 struct CompileOptions {
   /// Backend used by run() calls that do not name one explicitly.
   Backend DefaultBackend = Backend::TreeInterp;
@@ -116,7 +111,6 @@ struct CompileOptions {
   uint64_t MaxVmSteps = 1000000000; ///< Bytecode-VM fuel (instructions;
                                     ///< VM steps are much cheaper than
                                     ///< machine transitions).
-  size_t MaxFormalSteps = 1000000; ///< Figure 4 small-step fuel.
   /// LRU bound on the Session's compilation cache; 0 = unbounded. The
   /// bound is approximate (enforced per cache shard), evictions are
   /// counted in Session::Stats::Evictions.
@@ -152,12 +146,12 @@ struct StageTiming {
 };
 
 /// Renders stage timings as the driver's standard one-line-per-stage
-/// report (shared by Compilation::timingReport and CatalogAnalysis).
+/// report (Compilation::timingReport).
 std::string formatStageTimings(std::span<const StageTiming> Timings);
 
-/// The unified result of evaluating a global (or a formal term) on some
-/// backend. Exactly one backend's stats member is meaningful; the
-/// convenience accessors hide the difference.
+/// The unified result of evaluating a global on some backend. Exactly
+/// one backend's stats member is meaningful; the convenience accessors
+/// hide the difference.
 struct RunResult {
   enum class Status : uint8_t {
     Ok,           ///< Evaluation reached a value.
@@ -316,9 +310,8 @@ public:
   /// Compiles every user binding to bytecode first (that is the point:
   /// the artifact must make a cold process's bytecode runs compile-free);
   /// bindings outside the bytecode fragment are left out and rebuilt
-  /// lazily on hydration. Thread-safe. Fails for failed, formal,
-  /// programmatic (no source to key the store by) and hydrated
-  /// compilations.
+  /// lazily on hydration. Thread-safe. Fails for failed, programmatic
+  /// (no source to key the store by) and hydrated compilations.
   Result<std::string> serializeArtifact() const;
 
   /// Rebuilds a runnable Compilation from serializeArtifact() bytes.
@@ -371,6 +364,9 @@ public:
     return Elaborated ? &*Elaborated : nullptr;
   }
 
+  /// The L context of the machine lowering (internally synchronized).
+  lcalc::LContext &lctx() const;
+
   /// The option values this Compilation was built with (a private copy;
   /// later Session option changes do not affect existing artifacts).
   const CompileOptions &options() const { return Opts; }
@@ -385,21 +381,6 @@ public:
   /// Evaluates top-level \p Name on a specific backend.
   RunResult run(std::string_view Name, Backend B) const;
 
-  //===------------------------------------------------------------------===//
-  // The formal pipeline (Section 6)
-  //===------------------------------------------------------------------===//
-
-  /// Non-null for Session::compileFormal compilations.
-  const lcalc::Expr *formalTerm() const { return FormalTerm; }
-  /// The L context (internally synchronized; shared by concurrent runs).
-  lcalc::LContext &lctx() const;
-  /// The term's L type (Figure 3); error when ill-typed.
-  Result<const lcalc::Type *> formalType() const;
-  /// Runs the formal term: Figure 4 small-step semantics on TreeInterp,
-  /// Figures 5-7 on AbstractMachine.
-  RunResult run() const;
-  RunResult run(Backend B) const;
-
 private:
   friend class Session;
   friend class Executor;
@@ -408,8 +389,6 @@ private:
   void compileSource(std::string_view Src);
   void adoptProgram(
       const std::function<core::CoreProgram(core::CoreContext &)> &Build);
-  void buildFormal(
-      const std::function<const lcalc::Expr *(lcalc::LContext &)> &Build);
 
   /// Hydrated compilations skip the front end entirely; the first
   /// consumer that needs core IR (tree-interp run, program(),
@@ -421,8 +400,6 @@ private:
   /// Thread-safe: lowering is serialized behind the pipeline's mutex. On
   /// a hydrated Compilation this first rebuilds the front end.
   Result<const mcalc::Term *> machineTerm(std::string_view Name) const;
-  /// compileFormal's term, compiled to M (memoized, thread-safe).
-  Result<const mcalc::Term *> formalMachineTerm() const;
 
   /// The bytecode module for a global, memoized per name (thread-safe
   /// like machineTerm). A memo hit — hydrated modules included — does no
@@ -431,8 +408,6 @@ private:
   /// fragment — the Executor distinguishes the two by consulting
   /// machineTerm.
   Result<const bytecode::Module *> bytecodeModule(std::string_view Name) const;
-  /// compileFormal's term, compiled to bytecode (memoized, thread-safe).
-  Result<const bytecode::Module *> formalBytecodeModule() const;
 
   /// The abstract-machine side of a Compilation: one L context, one M
   /// context, and the memoized per-global lowerings. Created on first
@@ -460,8 +435,6 @@ private:
     std::unordered_map<std::string, Result<const mcalc::Term *>, NameHash,
                        std::equal_to<>>
         MTerms;
-    /// compileFormal's term, compiled to M (memoized).
-    std::optional<Result<const mcalc::Term *>> FormalM;
     /// Global name → compiled bytecode module (or the reason the term is
     /// outside the bytecode fragment). Hydration pre-populates this from
     /// the artifact's BCOD section.
@@ -469,8 +442,6 @@ private:
                        Result<std::shared_ptr<const bytecode::Module>>,
                        NameHash, std::equal_to<>>
         BModules;
-    /// compileFormal's term, compiled to bytecode (memoized).
-    std::optional<Result<std::shared_ptr<const bytecode::Module>>> FormalB;
   };
   MachinePipeline &machine() const;
 
@@ -501,23 +472,6 @@ private:
 
   mutable std::once_flag MachineOnce;
   mutable std::unique_ptr<MachinePipeline> Machine;
-
-  // Formal-pipeline state (compileFormal only; written at build time).
-  const lcalc::Expr *FormalTerm = nullptr;
-  std::optional<Result<const lcalc::Type *>> FormalTy;
-};
-
-/// The Section 8.1 catalog analysis riding the driver's diagnostics and
-/// timing report (Session::analyzeCatalog).
-struct CatalogAnalysis {
-  classlib::AnalysisReport Report;
-  std::vector<StageTiming> Timings;
-
-  bool ok() const { return Report.NumClasses > 0; }
-  /// The paper-style verdict table.
-  std::string table() const { return classlib::formatReport(Report); }
-  /// One-line-per-stage timing report (same shape as Compilation's).
-  std::string timingReport() const { return formatStageTimings(Timings); }
 };
 
 /// A compiler session: options + compilation cache + counters.
@@ -567,14 +521,6 @@ public:
   std::shared_ptr<Compilation> compileProgram(
       const std::function<core::CoreProgram(core::CoreContext &)> &Build);
 
-  /// Builds and typechecks an L term (the Section 6 formal pipeline).
-  std::shared_ptr<Compilation> compileFormal(
-      const std::function<const lcalc::Expr *(lcalc::LContext &)> &Build);
-
-  /// Runs the Section 8.1 class-generalizability analysis through the
-  /// driver, with per-stage timings in the standard report shape.
-  CatalogAnalysis analyzeCatalog();
-
   /// One compile-and-run unit of a batch workload.
   struct RunRequest {
     std::string Source;            ///< Program text (cached as usual).
@@ -604,7 +550,6 @@ public:
     uint64_t Compilations = 0; ///< Front-end runs actually performed.
     uint64_t CacheHits = 0;    ///< compile() calls served from memory.
     uint64_t Evictions = 0;    ///< Compilations dropped by the LRU bound.
-    uint64_t Analyses = 0;     ///< analyzeCatalog() runs.
     uint64_t DiskHits = 0;     ///< compile() calls rehydrated from the
                                ///< on-disk store (no front end, no
                                ///< lowering).
@@ -674,7 +619,6 @@ private:
   std::atomic<uint64_t> NumCompilations{0};
   std::atomic<uint64_t> NumCacheHits{0};
   std::atomic<uint64_t> NumEvictions{0};
-  std::atomic<uint64_t> NumAnalyses{0};
   std::atomic<uint64_t> NumDiskHits{0};
   std::atomic<uint64_t> NumDiskMisses{0};
   std::atomic<uint64_t> NumDiskEvictions{0};

@@ -18,7 +18,8 @@
 // Finally the bytecode tier, the only code a `.levc` artifact persists,
 // is held to the machine as its oracle: every generated term's M form
 // compiles to bytecode, survives the BCOD encode → decode → validate
-// round trip, and runs to the machine's outcome.
+// round trip, and runs to the machine's outcome, and a run cut short at
+// any step leaves its Vm as clean as a fresh one.
 //
 //===----------------------------------------------------------------------===//
 
@@ -221,6 +222,60 @@ TEST_P(SimulationTest, BytecodeAgreesWithTheMachine) {
   // Both kinds of comparison must actually happen, or the test is vacuous.
   EXPECT_GT(Bottoms, 0u);
   EXPECT_GT(Scalars, 0u);
+}
+
+// Fuel cuts: a bytecode run stopped after any number of steps leaves
+// nothing behind in its Vm's recycled heap and stacks. For every
+// generated term that finishes, and every fuel value below its step
+// count, the cut run is out of fuel and an immediate rerun on the same Vm
+// repeats the clean run exactly.
+TEST_P(SimulationTest, EveryFuelCutLeavesTheVmClean) {
+  lcalc::LContext L;
+  mcalc::MContext MC;
+  anf::Compiler Comp(L, MC);
+  bytecode::Vm Vm;
+  lcalc::TermGen::Options Opts;
+  Opts.MaxDepth = GetParam().MaxDepth;
+  lcalc::TermGen Gen(L, GetParam().Seed ^ 0xc075ull, Opts);
+
+  using VmOut = bytecode::VmResult::Outcome;
+  constexpr uint64_t Fuel = 1000000;
+  unsigned Cuts = 0;
+  for (unsigned I = 0; I != TermsPerCase; ++I) {
+    lcalc::TermGen::Generated G = Gen.generate();
+    SCOPED_TRACE(G.E->str());
+    Result<const mcalc::Term *> T = Comp.compileClosed(G.E);
+    ASSERT_TRUE(T.ok()) << T.error();
+    Result<std::shared_ptr<const bytecode::Module>> Mod = bytecode::compile(*T);
+    ASSERT_TRUE(Mod.ok()) << "bytecode compiler refused: " << Mod.error();
+
+    // A pointer result dies with the next run; its slot's kind and a
+    // scalar's payload stay readable.
+    const bytecode::VmResult Clean = Vm.run(**Mod, Fuel);
+    if (Clean.Out == VmOut::OutOfFuel)
+      continue;
+    ASSERT_NE(Clean.Out, VmOut::Stuck) << Clean.StuckReason;
+    for (uint64_t F = 0; F != Clean.Stats.Steps; ++F) {
+      SCOPED_TRACE("fuel " + std::to_string(F));
+      ASSERT_EQ(Vm.run(**Mod, F).Out, VmOut::OutOfFuel);
+      bytecode::VmResult Again = Vm.run(**Mod, Fuel);
+      ASSERT_EQ(Again.Out, Clean.Out) << Again.StuckReason;
+      EXPECT_EQ(Again.Stats.Steps, Clean.Stats.Steps);
+      EXPECT_EQ(Again.Stats.Allocations, Clean.Stats.Allocations);
+      EXPECT_EQ(Again.Stats.MaxHeapObjects, Clean.Stats.MaxHeapObjects);
+      EXPECT_EQ(Again.ErrorMessage, Clean.ErrorMessage);
+      ASSERT_EQ(Again.Final.isInt(), Clean.Final.isInt());
+      ASSERT_EQ(Again.Final.isDbl(), Clean.Final.isDbl());
+      if (Clean.Final.isInt())
+        EXPECT_EQ(Again.Final.I, Clean.Final.I);
+      if (Clean.Final.isDbl())
+        EXPECT_TRUE(Again.Final.D == Clean.Final.D ||
+                    (std::isnan(Again.Final.D) && std::isnan(Clean.Final.D)));
+      ++Cuts;
+    }
+  }
+  // Cuts must actually happen, or the test is vacuous.
+  EXPECT_GT(Cuts, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

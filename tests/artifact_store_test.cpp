@@ -924,11 +924,6 @@ TEST(ArtifactSerializeTest, BytecodeCodecSurvivesFuzzedInput) {
 
 TEST(ArtifactStoreTest, SerializeRejectsFormalAndProgrammaticCompilations) {
   Session S;
-  auto Formal = S.compileFormal(
-      [](lcalc::LContext &L) { return L.intLit(7); });
-  ASSERT_TRUE(Formal->ok());
-  EXPECT_FALSE(Formal->serializeArtifact().ok());
-
   auto Prog = S.compileProgram([](core::CoreContext &C) {
     core::CoreProgram P;
     P.Bindings.push_back({C.sym("x"), C.intHashTy(), C.litInt(1)});

@@ -9,8 +9,8 @@
 // terms (values, laziness, knots, switches, the machine-exact stuck
 // states), the pinned out-of-fragment compiler diagnostics with the
 // driver's clean fallback to the term-graph machine, the validate()
-// verifier, and the Backend::Bytecode driver surface (backendName, fuel,
-// the formal pipeline). Observable-equivalence over the full program
+// verifier, and the Backend::Bytecode driver surface (backendName,
+// fuel). Observable-equivalence over the full program
 // corpus lives in differential_backend_test.cpp.
 //
 //===----------------------------------------------------------------------===//
@@ -741,18 +741,6 @@ TEST(BytecodeDriverTest, RunsReportPeakHeapStats) {
   driver::RunResult Pure = Ex.run("pure", driver::Backend::Bytecode);
   ASSERT_TRUE(Pure.ok()) << Pure.Error;
   EXPECT_EQ(Pure.peakHeapCells(), 0u);
-}
-
-TEST(BytecodeDriverTest, FormalPipelineRunsOnTheVm) {
-  driver::Session S;
-  auto Comp = S.compileFormal([](lcalc::LContext &L) {
-    return L.intLit(7);
-  });
-  ASSERT_TRUE(Comp->ok()) << Comp->diagText();
-  driver::RunResult R = Comp->run(driver::Backend::Bytecode);
-  ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_EQ(R.Used, driver::Backend::Bytecode);
-  EXPECT_EQ(R.IntValue.value_or(-1), 7);
 }
 
 TEST(BytecodeDriverTest, StuckRunsNameTheVmTier) {

@@ -130,4 +130,17 @@ TEST(ClasslibTest, ReportFormats) {
   EXPECT_NE(S.find("oneShot"), std::string::npos);
 }
 
+// The analysis reports its stages in run order, each timed, so a caller
+// can print them in the driver's timing report (examples/class_catalog).
+TEST(DriverTest, CatalogAnalysisRidesTheDriver) {
+  const AnalysisReport &R = report();
+  EXPECT_EQ(R.NumClasses, 76u);
+  ASSERT_EQ(R.Stages.size(), 3u);
+  EXPECT_EQ(R.Stages[0].Name, "elaborate-catalog");
+  EXPECT_EQ(R.Stages[1].Name, "analyze-classes");
+  EXPECT_EQ(R.Stages[2].Name, "generalized-fns");
+  for (const AnalysisReport::Stage &St : R.Stages)
+    EXPECT_GE(St.Millis, 0.0) << St.Name;
+}
+
 } // namespace

@@ -204,32 +204,6 @@ TEST(DriverConcurrencyTest, RunAllDrivesBytecodeBackendConcurrently) {
   EXPECT_EQ(S.stats().Compilations, 6u);
 }
 
-TEST(DriverConcurrencyTest, FormalCompilationRunsConcurrently) {
-  Session S;
-  std::shared_ptr<Compilation> Comp =
-      S.compileFormal([](lcalc::LContext &L) {
-        return L.prim(lcalc::LPrim::Add,
-                      L.prim(lcalc::LPrim::Mul, L.intLit(6), L.intLit(6)),
-                      L.intLit(6));
-      });
-  ASSERT_TRUE(Comp->ok()) << Comp->diagText();
-
-  std::vector<std::thread> Threads;
-  for (int T = 0; T != NumThreads; ++T)
-    Threads.emplace_back([&, T] {
-      Executor Ex(Comp);
-      const Backend Rotation[] = {Backend::TreeInterp,
-                                  Backend::AbstractMachine,
-                                  Backend::Bytecode};
-      for (int I = 0; I != 12; ++I) {
-        RunResult R = Ex.run(Rotation[(I + T) % 3]);
-        ASSERT_TRUE(R.ok()) << R.Error;
-        EXPECT_EQ(R.IntValue.value_or(-1), 42);
-      }
-    });
-  spawnAll(Threads);
-}
-
 //===----------------------------------------------------------------------===//
 // runAll
 //===----------------------------------------------------------------------===//

@@ -13,8 +13,7 @@
 //   * the compilation cache — identical source returns the *same*
 //     Compilation object; distinct source does not;
 //   * diagnostics — failing programs carry SourceLoc and DiagCode
-//     through the facade;
-//   * the formal pipeline riding the same abstraction.
+//     through the facade.
 //
 //===----------------------------------------------------------------------===//
 
@@ -617,89 +616,6 @@ TEST(DriverTest, ProgrammaticCompilationRidesTheFacade) {
   EXPECT_EQ(IR.Stats.ThunkAllocs + IR.Stats.BoxAllocs, 0u);
 }
 
-TEST(DriverTest, CatalogAnalysisRidesTheDriver) {
-  Session S;
-  CatalogAnalysis A = S.analyzeCatalog();
-  ASSERT_TRUE(A.ok());
-  EXPECT_EQ(A.Report.NumClasses, 76u);
-  EXPECT_GE(A.Report.NumGeneralizable, 25u);
-  EXPECT_LE(A.Report.NumGeneralizable, 40u);
-  // Stage timings ride the same report shape as Compilation's.
-  ASSERT_GE(A.Timings.size(), 3u);
-  EXPECT_EQ(A.Timings[0].Stage, "elaborate-catalog");
-  EXPECT_NE(A.timingReport().find("total"), std::string::npos);
-  EXPECT_NE(A.table().find("GENERALIZE"), std::string::npos);
-  EXPECT_EQ(S.stats().Analyses, 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// The formal pipeline on the same abstraction
-//===----------------------------------------------------------------------===//
-
-TEST(DriverTest, FormalPipelineSharesTheCompilationAPI) {
-  Session S;
-  // (Λr. Λa:TYPE r. λf:Int→a. f I#[7]) I Int# (λn:Int. case n of I#[m]→m)
-  auto Comp = S.compileFormal([](lcalc::LContext &L) {
-    Symbol R = L.sym("r"), A = L.sym("a"), F = L.sym("f");
-    const lcalc::Expr *Gen = L.repLam(
-        R, L.tyLam(A, lcalc::LKind::typeVar(R),
-                   L.lam(F, L.arrowTy(L.intTy(), L.varTy(A)),
-                         L.app(L.var(F), L.con(L.intLit(7))))));
-    return L.app(
-        L.tyApp(L.repApp(Gen, lcalc::RuntimeRep::integer()),
-                L.intHashTy()),
-        L.lam(L.sym("n"), L.intTy(),
-              L.caseOf(L.var(L.sym("n")), L.sym("m"), L.var(L.sym("m")))));
-  });
-  ASSERT_TRUE(Comp->ok()) << Comp->diagText();
-  ASSERT_TRUE(Comp->formalType().ok());
-  EXPECT_EQ((*Comp->formalType())->str(), "Int#");
-
-  RunResult Small = Comp->run(Backend::TreeInterp);
-  RunResult Mach = Comp->run(Backend::AbstractMachine);
-  ASSERT_TRUE(Small.ok()) << Small.Error;
-  ASSERT_TRUE(Mach.ok()) << Mach.Error;
-  EXPECT_EQ(Small.IntValue.value_or(-1), 7);
-  EXPECT_EQ(Mach.IntValue.value_or(-1), 7);
-}
-
-TEST(DriverTest, FormalAnswersPrintOnEveryBackend) {
-  // data T = A | B Int# | C Int Double#. The M and bytecode values carry
-  // only the tag; the name comes from the L data declaration.
-  Session S;
-  auto Comp = S.compileFormal([](lcalc::LContext &L) {
-    lcalc::LDataDecl *T = L.declareData(L.sym("T"));
-    L.addDataCon(T, L.sym("A"), {});
-    const lcalc::Type *BF[] = {L.intHashTy()};
-    L.addDataCon(T, L.sym("B"), BF);
-    const lcalc::Type *CF[] = {L.intTy(), L.doubleHashTy()};
-    L.addDataCon(T, L.sym("C"), CF);
-    const lcalc::Expr *Args[] = {L.con(L.intLit(1)), L.doubleLit(2.5)};
-    return L.conData(T, 2, Args);
-  });
-  ASSERT_TRUE(Comp->ok()) << Comp->diagText();
-  for (Backend B :
-       {Backend::TreeInterp, Backend::AbstractMachine, Backend::Bytecode}) {
-    RunResult R = Comp->run(B);
-    ASSERT_TRUE(R.ok()) << backendName(B) << ": " << R.Error;
-    EXPECT_EQ(R.Used, B);
-    EXPECT_EQ(R.Display, "C _ 2.5##") << backendName(B);
-  }
-}
-
-TEST(DriverTest, IllTypedFormalTermFailsWithTypeError) {
-  Session S;
-  // λx:a. x with a levity-polymorphic — E_LAM's restriction.
-  auto Comp = S.compileFormal([](lcalc::LContext &L) {
-    Symbol R = L.sym("r"), A = L.sym("a");
-    return L.repLam(
-        R, L.tyLam(A, lcalc::LKind::typeVar(R),
-                   L.lam(L.sym("x"), L.varTy(A), L.var(L.sym("x")))));
-  });
-  EXPECT_FALSE(Comp->ok());
-  EXPECT_TRUE(Comp->diags().hasError(DiagCode::TypeError));
-}
-
 //===----------------------------------------------------------------------===//
 // Fuel exhaustion: the typed deadline signal, pinned per backend
 //===----------------------------------------------------------------------===//
@@ -802,23 +718,6 @@ TEST(DriverTest, RunAllWritesOutcomes) {
   // entry.
   EXPECT_EQ(O[0], CompileOutcome::FrontEnd);
   EXPECT_EQ(O[1], CompileOutcome::CacheHit);
-}
-
-TEST(DriverTest, FormalPrimopsAgreeAcrossSemantics) {
-  // The executable L/M primop extension: 6*6+6 in both Figure 4 and the
-  // Figure 6 machine.
-  Session S;
-  auto Comp = S.compileFormal([](lcalc::LContext &L) {
-    return L.prim(lcalc::LPrim::Add,
-                  L.prim(lcalc::LPrim::Mul, L.intLit(6), L.intLit(6)),
-                  L.intLit(6));
-  });
-  ASSERT_TRUE(Comp->ok()) << Comp->diagText();
-  RunResult Small = Comp->run(Backend::TreeInterp);
-  RunResult Mach = Comp->run(Backend::AbstractMachine);
-  ASSERT_TRUE(Small.ok() && Mach.ok());
-  EXPECT_EQ(Small.IntValue.value_or(-1), 42);
-  EXPECT_EQ(Mach.IntValue.value_or(-1), 42);
 }
 
 } // namespace
