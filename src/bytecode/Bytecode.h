@@ -182,10 +182,21 @@ struct Module {
 inline constexpr unsigned MaxCompileDepth = 1u << 11;
 inline constexpr unsigned MaxFrameSlots = 65535;
 
+/// Deterministic work counts of one compile() call. Both grow linearly
+/// with the term; tests pin that.
+struct CompileStats {
+  /// Variable occurrences visited while computing the capture lists.
+  uint64_t FreeVarVisits = 0;
+  /// Instructions emitted, before peephole fusion.
+  uint64_t InstrsEmitted = 0;
+};
+
 /// Compiles a closed M term to bytecode. Fails (never miscompiles) on
 /// out-of-fragment shapes: free variables, over-deep nesting, frames
-/// over MaxFrameSlots. The result is immutable and shareable.
-Result<std::shared_ptr<const Module>> compile(const mcalc::Term *T);
+/// over MaxFrameSlots. The result is immutable and shareable. When
+/// \p Stats is given it receives the compile's work counts.
+Result<std::shared_ptr<const Module>> compile(const mcalc::Term *T,
+                                              CompileStats *Stats = nullptr);
 
 /// Structural validation of everything the VM trusts: proto code ranges
 /// partition-safe and terminator-ended, slot/pool/proto/table operands

@@ -16,6 +16,13 @@
 // re-substitutes on every beta step; here each lambda body, thunk
 // right-hand side, and the entry term becomes a Proto compiled once.
 //
+// Capture lists are computed once, bottom-up, before any code is emitted:
+// one walk of the whole term finds every proto's free variables in
+// first-occurrence order (see scan()), so cold compile is linear in the
+// term — a parent reuses its nested closures' lists and never re-walks
+// them. Each proto also records its own switch tables, so peephole fusion
+// and linking touch only those.
+//
 // Laziness is preserved exactly: `let` right-hand sides become thunk
 // protos (captures copied at allocation, body run on first force),
 // except for syntactic values (λ, CON, I#[n], n, d) which the machine
@@ -39,7 +46,6 @@
 #include <cstring>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace levity;
 using namespace levity::bytecode;
@@ -58,6 +64,7 @@ constexpr const char *DiagPrefix = "bytecode backend: ";
 class Compiler {
 public:
   Result<std::shared_ptr<const Module>> run(const Term *Entry);
+  const CompileStats &stats() const { return Stats; }
 
 private:
   /// One name's frame slot and register class.
@@ -69,16 +76,15 @@ private:
   /// Build state of one proto: its code (jump targets proto-relative
   /// until link), its frame-slot counter, and the in-scope names.
   struct ProtoCtx {
-    uint32_t Index = 0;
     std::vector<Instr> Code;
     uint32_t NumLocals = 0;
+    std::vector<uint32_t> Tables; ///< The Mod.Tables entries this code owns.
     /// Innermost binding last — shadowing is a push/pop.
     std::unordered_map<Symbol, std::vector<Binding>, SymbolHash> Scope;
   };
 
   Module Mod;
   std::vector<std::unique_ptr<ProtoCtx>> Ctxs; ///< Parallel to Mod.Protos.
-  std::vector<uint32_t> TableOwner; ///< Proto index per Mod.Tables entry.
   std::unordered_map<int64_t, uint32_t> IntIdx;
   std::unordered_map<uint64_t, uint32_t> DblIdx;
   std::unordered_map<std::string, uint32_t> StrIdx;
@@ -93,6 +99,7 @@ private:
 
   size_t emit(ProtoCtx &P, Op Code, uint8_t A = 0, uint16_t B = 0,
               int32_t C = 0) {
+    ++Stats.InstrsEmitted;
     P.Code.push_back({Code, A, B, C});
     return P.Code.size() - 1;
   }
@@ -145,88 +152,159 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Free variables (capture lists), in first-occurrence order.
+  // Capture lists: one bottom-up pass over the whole term
   //===--------------------------------------------------------------------===//
+  //
+  // A proto captures the free variables of its closure term (the entry,
+  // a λ spine, a thunk or letrec right-hand side) in first-occurrence
+  // order. scan() finds every closure's list in one walk, opening the
+  // closures in the order compileTerm() creates their protos. An
+  // occurrence is free in each open closure between it and its binder:
+  // it is appended to those, innermost first, stopping at the first one
+  // that already holds that binder — every closure further out holds it
+  // too. So a parent reuses what its nested closures found instead of
+  // walking them again: each node is visited once per compile and each
+  // capture appended once.
 
-  struct FvState {
-    std::unordered_map<Symbol, int, SymbolHash> Bound;
-    std::unordered_set<Symbol, SymbolHash> Seen;
-    std::vector<MVar> Out;
+  /// A binding site seen by scan(). Names free in the whole term get one
+  /// at level 0, outside the entry closure.
+  struct ScanBinder {
+    MVar Var;       ///< The binder (or the first free occurrence).
+    uint32_t Level; ///< Open closures around the binding site.
+    /// Deepest open closure holding this binder; exactly the levels in
+    /// (Level, Held] do.
+    uint32_t Held;
   };
 
-  static void fvVisit(FvState &St, MVar V) {
-    auto It = St.Bound.find(V.Name);
-    if (It != St.Bound.end() && It->second > 0)
-      return;
-    if (St.Seen.insert(V.Name).second)
-      St.Out.push_back(V);
+  /// One closure term and its captures (ScanBinders indices), in order.
+  struct Closure {
+    const Term *At;
+    std::vector<uint32_t> Caps;
+  };
+
+  std::vector<ScanBinder> ScanBinders;
+  /// Name → ScanBinders indices in scope, innermost last.
+  std::unordered_map<Symbol, std::vector<uint32_t>, SymbolHash> ScanScope;
+  std::vector<Closure> Closures; ///< Index i is the capture list of proto i.
+  std::vector<uint32_t> Open;    ///< Closures index per open level.
+  CompileStats Stats;
+
+  void scanBind(MVar V) {
+    const auto Level = static_cast<uint32_t>(Open.size());
+    ScanScope[V.Name].push_back(static_cast<uint32_t>(ScanBinders.size()));
+    ScanBinders.push_back({V, Level, Level});
+  }
+  void scanUnbind(MVar V) { ScanScope[V.Name].pop_back(); }
+
+  void scanUse(MVar V) {
+    ++Stats.FreeVarVisits;
+    std::vector<uint32_t> &InScope = ScanScope[V.Name];
+    if (InScope.empty()) {
+      InScope.push_back(static_cast<uint32_t>(ScanBinders.size()));
+      ScanBinders.push_back({V, 0, 0});
+    }
+    const uint32_t B = InScope.back();
+    const auto Level = static_cast<uint32_t>(Open.size());
+    for (uint32_t L = Level; L > ScanBinders[B].Held; --L)
+      Closures[Open[L - 1]].Caps.push_back(B);
+    ScanBinders[B].Held = std::max(ScanBinders[B].Held, Level);
   }
 
-  bool fvRec(FvState &St, const Term *T, unsigned D) {
+  void openClosure(const Term *At) {
+    Open.push_back(static_cast<uint32_t>(Closures.size()));
+    Closures.push_back({At, {}});
+  }
+  void closeClosure() {
+    const auto Outer = static_cast<uint32_t>(Open.size() - 1);
+    for (uint32_t B : Closures[Open.back()].Caps)
+      ScanBinders[B].Held = Outer;
+    Open.pop_back();
+  }
+
+  /// Scans the body of a thunk or entry proto: a term compiled as its
+  /// own proto. (A λ opens its closure in scan().)
+  bool scanProto(const Term *T, unsigned D) {
+    openClosure(T);
+    if (!scan(T, D))
+      return false;
+    closeClosure();
+    return true;
+  }
+
+  /// Scans \p Body with \p B in scope.
+  bool scanUnder(MVar B, const Term *Body, unsigned D) {
+    scanBind(B);
+    if (!scan(Body, D))
+      return false;
+    scanUnbind(B);
+    return true;
+  }
+
+  /// The scan of \p T at nesting depth \p D. On failure the compile is
+  /// abandoned, so scopes are not unwound.
+  bool scan(const Term *T, unsigned D) {
     if (D > MaxCompileDepth)
       return fail("term nests deeper than the bytecode compiler supports");
     using K = Term::TermKind;
     switch (T->kind()) {
     case K::AppVar: {
       const auto *A = cast<mcalc::AppVarTerm>(T);
-      if (!fvRec(St, A->fn(), D + 1))
+      if (!scan(A->fn(), D + 1))
         return false;
-      fvVisit(St, A->arg());
+      scanUse(A->arg());
       return true;
     }
     case K::AppLit:
-      return fvRec(St, cast<mcalc::AppLitTerm>(T)->fn(), D + 1);
+      return scan(cast<mcalc::AppLitTerm>(T)->fn(), D + 1);
     case K::AppDbl:
-      return fvRec(St, cast<mcalc::AppDblTerm>(T)->fn(), D + 1);
+      return scan(cast<mcalc::AppDblTerm>(T)->fn(), D + 1);
     case K::Lam: {
-      const auto *L = cast<mcalc::LamTerm>(T);
-      ++St.Bound[L->param().Name];
-      bool Ok = fvRec(St, L->body(), D + 1);
-      --St.Bound[L->param().Name];
-      return Ok;
+      // One closure per λ spine, like collectLamSpine.
+      openClosure(T);
+      const Term *Body = T;
+      for (; const auto *L = mcalc::dyn_cast<mcalc::LamTerm>(Body);
+           Body = L->body(), ++D)
+        scanBind(L->param());
+      if (!scan(Body, D))
+        return false;
+      for (const Term *L = T; L != Body; L = cast<mcalc::LamTerm>(L)->body())
+        scanUnbind(cast<mcalc::LamTerm>(L)->param());
+      closeClosure();
+      return true;
     }
     case K::Var:
-      fvVisit(St, cast<mcalc::VarTerm>(T)->var());
+      scanUse(cast<mcalc::VarTerm>(T)->var());
       return true;
     case K::Let: {
       const auto *L = cast<mcalc::LetTerm>(T);
-      if (!fvRec(St, L->rhs(), D + 1))
-        return false;
-      ++St.Bound[L->binder().Name];
-      bool Ok = fvRec(St, L->body(), D + 1);
-      --St.Bound[L->binder().Name];
-      return Ok;
+      const Term *R = L->rhs();
+      return (isThunkRhs(R) ? scanProto(R, D + 1) : scan(R, D + 1)) &&
+             scanUnder(L->binder(), L->body(), D + 1);
     }
     case K::LetBang: {
       const auto *L = cast<mcalc::LetBangTerm>(T);
-      if (!fvRec(St, L->rhs(), D + 1))
-        return false;
-      ++St.Bound[L->binder().Name];
-      bool Ok = fvRec(St, L->body(), D + 1);
-      --St.Bound[L->binder().Name];
-      return Ok;
+      return scan(L->rhs(), D + 1) && scanUnder(L->binder(), L->body(), D + 1);
     }
     case K::LetRec: {
+      // RECLET: the right-hand side sees (and captures) its own binder.
       const auto *L = cast<mcalc::LetRecTerm>(T);
-      ++St.Bound[L->binder().Name];
-      bool Ok = fvRec(St, L->rhs(), D + 1) && fvRec(St, L->body(), D + 1);
-      --St.Bound[L->binder().Name];
-      return Ok;
+      const Term *R = L->rhs();
+      scanBind(L->binder());
+      if (!(R->kind() == K::Lam ? scan(R, D + 1) : scanProto(R, D + 1)) ||
+          !scan(L->body(), D + 1))
+        return false;
+      scanUnbind(L->binder());
+      return true;
     }
     case K::Case: {
       const auto *C = cast<mcalc::CaseTerm>(T);
-      if (!fvRec(St, C->scrut(), D + 1))
-        return false;
-      ++St.Bound[C->binder().Name];
-      bool Ok = fvRec(St, C->body(), D + 1);
-      --St.Bound[C->binder().Name];
-      return Ok;
+      return scan(C->scrut(), D + 1) &&
+             scanUnder(C->binder(), C->body(), D + 1);
     }
     case K::If0: {
       const auto *I = cast<mcalc::If0Term>(T);
-      return fvRec(St, I->scrut(), D + 1) &&
-             fvRec(St, I->thenBranch(), D + 1) &&
-             fvRec(St, I->elseBranch(), D + 1);
+      return scan(I->scrut(), D + 1) && scan(I->thenBranch(), D + 1) &&
+             scan(I->elseBranch(), D + 1);
     }
     case K::Error:
     case K::ConLit:
@@ -234,50 +312,38 @@ private:
     case K::DLit:
       return true;
     case K::ConVar:
-      fvVisit(St, cast<mcalc::ConVarTerm>(T)->var());
+      scanUse(cast<mcalc::ConVarTerm>(T)->var());
       return true;
     case K::Prim: {
       const auto *P = cast<mcalc::PrimTerm>(T);
       if (!P->lhs().IsLit)
-        fvVisit(St, P->lhs().Var);
+        scanUse(P->lhs().Var);
       if (!P->rhs().IsLit)
-        fvVisit(St, P->rhs().Var);
+        scanUse(P->rhs().Var);
       return true;
     }
     case K::Con: {
-      const auto *C = cast<mcalc::ConTerm>(T);
-      for (const MAtom &A : C->args())
+      for (const MAtom &A : cast<mcalc::ConTerm>(T)->args())
         if (!A.IsLit)
-          fvVisit(St, A.Var);
+          scanUse(A.Var);
       return true;
     }
     case K::Switch: {
       const auto *S = cast<mcalc::SwitchTerm>(T);
-      if (!fvRec(St, S->scrut(), D + 1))
+      if (!scan(S->scrut(), D + 1))
         return false;
       for (const MAlt &A : S->alts()) {
         for (MVar B : A.Binders)
-          ++St.Bound[B.Name];
-        bool Ok = fvRec(St, A.Body, D + 1);
-        for (MVar B : A.Binders)
-          --St.Bound[B.Name];
-        if (!Ok)
+          scanBind(B);
+        if (!scan(A.Body, D + 1))
           return false;
+        for (MVar B : A.Binders)
+          scanUnbind(B);
       }
-      if (S->defaultBody())
-        return fvRec(St, S->defaultBody(), D + 1);
-      return true;
+      return !S->defaultBody() || scan(S->defaultBody(), D + 1);
     }
     }
     return fail("unknown term kind");
-  }
-
-  bool freeVarsOf(const Term *T, std::vector<MVar> &Out) {
-    FvState St;
-    if (!fvRec(St, T, 0))
-      return false;
-    Out = std::move(St.Out);
-    return true;
   }
 
   //===--------------------------------------------------------------------===//
@@ -301,15 +367,17 @@ private:
   /// empty for thunk and entry protos.
   bool makeProto(ProtoCtx &Parent, const Term *CapTerm, const Term *Body,
                  const std::vector<MVar> &Params, uint32_t &OutIdx) {
-    std::vector<MVar> Caps;
-    if (!freeVarsOf(CapTerm, Caps))
-      return false;
+    OutIdx = static_cast<uint32_t>(Mod.Protos.size());
+    if (OutIdx >= Closures.size() || Closures[OutIdx].At != CapTerm)
+      return fail("capture lists out of step with the protos");
+    const std::vector<uint32_t> &Caps = Closures[OutIdx].Caps;
     if (Caps.size() + Params.size() > MaxFrameSlots)
       return fail("closure captures more than " +
                   std::to_string(MaxFrameSlots) + " variables");
     Proto P;
     auto Ctx = std::make_unique<ProtoCtx>();
-    for (MVar V : Caps) {
+    for (uint32_t B : Caps) {
+      const MVar V = ScanBinders[B].Var;
       Binding Src;
       if (!lookup(Parent, V, Src))
         return false;
@@ -327,8 +395,6 @@ private:
       bind(*Ctx, V, Ctx->NumLocals);
       ++Ctx->NumLocals;
     }
-    OutIdx = static_cast<uint32_t>(Mod.Protos.size());
-    Ctx->Index = OutIdx;
     Mod.Protos.push_back(std::move(P));
     Ctxs.push_back(std::move(Ctx));
     ProtoCtx &C = *Ctxs[OutIdx];
@@ -349,10 +415,6 @@ private:
   /// or switch target lands on its second instruction; all targets are
   /// remapped through the old→new index table afterwards.
   void peephole(ProtoCtx &P) {
-    std::vector<SwitchTable *> Owned;
-    for (size_t T = 0; T != TableOwner.size(); ++T)
-      if (TableOwner[T] == P.Index)
-        Owned.push_back(&Mod.Tables[T]);
     std::vector<uint8_t> IsTarget(P.Code.size() + 1, 0);
     auto Mark = [&](int64_t T) {
       if (T >= 0 && T <= static_cast<int64_t>(P.Code.size()))
@@ -361,11 +423,11 @@ private:
     for (const Instr &I : P.Code)
       if (I.Code == Op::Jump || I.Code == Op::If0)
         Mark(I.C);
-    for (const SwitchTable *T : Owned) {
-      for (const SwitchAlt &A : T->Alts)
+    for (uint32_t T : P.Tables) {
+      for (const SwitchAlt &A : Mod.Tables[T].Alts)
         Mark(A.Target);
-      if (T->DefaultTarget >= 0)
-        Mark(T->DefaultTarget);
+      if (Mod.Tables[T].DefaultTarget >= 0)
+        Mark(Mod.Tables[T].DefaultTarget);
     }
     std::vector<Instr> NewCode;
     NewCode.reserve(P.Code.size());
@@ -397,11 +459,12 @@ private:
     for (Instr &In : NewCode)
       if (In.Code == Op::Jump || In.Code == Op::If0)
         In.C = OldToNew[In.C];
-    for (SwitchTable *T : Owned) {
-      for (SwitchAlt &A : T->Alts)
+    for (uint32_t T : P.Tables) {
+      SwitchTable &Tbl = Mod.Tables[T];
+      for (SwitchAlt &A : Tbl.Alts)
         A.Target = static_cast<uint32_t>(OldToNew[A.Target]);
-      if (T->DefaultTarget >= 0)
-        T->DefaultTarget = OldToNew[static_cast<size_t>(T->DefaultTarget)];
+      if (Tbl.DefaultTarget >= 0)
+        Tbl.DefaultTarget = OldToNew[static_cast<size_t>(Tbl.DefaultTarget)];
     }
     P.Code = std::move(NewCode);
   }
@@ -422,6 +485,24 @@ private:
       return false;
     emit(P, Op::LoadLocal, 0, static_cast<uint16_t>(B.Slot));
     return true;
+  }
+
+  /// True when a lazy `let` right-hand side becomes a thunk proto: it is
+  /// neither a variable (an alias of its slot) nor a syntactic value (λ,
+  /// CON, I#[n], n, d — built eagerly).
+  static bool isThunkRhs(const Term *R) {
+    using K = Term::TermKind;
+    switch (R->kind()) {
+    case K::Var:
+    case K::Lam:
+    case K::Con:
+    case K::ConLit:
+    case K::Lit:
+    case K::DLit:
+      return false;
+    default:
+      return true;
+    }
   }
 
   /// The binder a Let/LetBang/LetRec wrapper introduces.
@@ -464,8 +545,12 @@ private:
     case K::Let: {
       const auto *L = cast<mcalc::LetTerm>(T);
       const Term *R = L->rhs();
-      switch (R->kind()) {
-      case K::Var: {
+      if (isThunkRhs(R)) {
+        uint32_t Pr;
+        if (!makeProto(P, R, R, /*Params=*/{}, Pr))
+          return false;
+        emit(P, Op::MkThunk, 0, 0, static_cast<int32_t>(Pr));
+      } else if (R->kind() == K::Var) {
         // Alias: the machine would allocate a one-variable thunk whose
         // force delegates; sharing the slot is observationally the same
         // and strictly lazier than a fresh cell.
@@ -473,26 +558,11 @@ private:
         if (!lookup(P, cast<mcalc::VarTerm>(R)->var(), B))
           return false;
         emit(P, Op::LoadLocal, 0, static_cast<uint16_t>(B.Slot));
-        break;
-      }
-      case K::Lam:
-      case K::Con:
-      case K::ConLit:
-      case K::Lit:
-      case K::DLit:
+      } else if (!compileTerm(P, R, /*Tail=*/false)) {
         // Syntactic values: the machine's VAL rule yields them on first
         // lookup without a thunk step; building them eagerly cannot
         // error or diverge.
-        if (!compileTerm(P, R, /*Tail=*/false))
-          return false;
-        break;
-      default: {
-        uint32_t Pr;
-        if (!makeProto(P, R, R, /*Params=*/{}, Pr))
-          return false;
-        emit(P, Op::MkThunk, 0, 0, static_cast<int32_t>(Pr));
-        break;
-      }
+        return false;
       }
       uint32_t Slot;
       if (!newLocals(P, 1, Slot))
@@ -735,7 +805,7 @@ private:
         return false;
       uint32_t Tbl = static_cast<uint32_t>(Mod.Tables.size());
       Mod.Tables.emplace_back();
-      TableOwner.push_back(P.Index);
+      P.Tables.push_back(Tbl);
       emit(P, Op::Switch, 0, 0, static_cast<int32_t>(Tbl));
       std::vector<size_t> EndJumps;
       for (const MAlt &A : S->alts()) {
@@ -816,7 +886,8 @@ Result<std::shared_ptr<const Module>> Compiler::run(const Term *Entry) {
   // term (the driver's fragment boundary — fall back, never guess).
   ProtoCtx Root;
   uint32_t Idx;
-  if (!makeProto(Root, Entry, Entry, /*Params=*/{}, Idx))
+  if (!scanProto(Entry, 0) ||
+      !makeProto(Root, Entry, Entry, /*Params=*/{}, Idx))
     return err(Diag.empty() ? std::string(DiagPrefix) + "compilation failed"
                             : Diag);
   assert(Idx == 0 && "entry proto must be proto 0");
@@ -845,12 +916,14 @@ Result<std::shared_ptr<const Module>> Compiler::run(const Term *Entry) {
     }
     P.End = static_cast<uint32_t>(M->Code.size());
   }
-  for (size_t T = 0; T != M->Tables.size(); ++T) {
-    uint32_t Base = M->Protos[TableOwner[T]].Entry;
-    for (SwitchAlt &A : M->Tables[T].Alts)
-      A.Target += Base;
-    if (M->Tables[T].DefaultTarget >= 0)
-      M->Tables[T].DefaultTarget += Base;
+  for (size_t I = 0; I != Ctxs.size(); ++I) {
+    const uint32_t Base = M->Protos[I].Entry;
+    for (uint32_t T : Ctxs[I]->Tables) {
+      for (SwitchAlt &A : M->Tables[T].Alts)
+        A.Target += Base;
+      if (M->Tables[T].DefaultTarget >= 0)
+        M->Tables[T].DefaultTarget += Base;
+    }
   }
   buildDispatchTables(*M);
   assert(validate(*M) && "compiler emitted an invalid module");
@@ -863,11 +936,15 @@ Result<std::shared_ptr<const Module>> Compiler::run(const Term *Entry) {
 namespace levity {
 namespace bytecode {
 
-Result<std::shared_ptr<const Module>> compile(const mcalc::Term *T) {
+Result<std::shared_ptr<const Module>> compile(const mcalc::Term *T,
+                                              CompileStats *Stats) {
   if (!T)
     return err(std::string(DiagPrefix) + "no term to compile");
   Compiler C;
-  return C.run(T);
+  Result<std::shared_ptr<const Module>> M = C.run(T);
+  if (Stats)
+    *Stats = C.stats();
+  return M;
 }
 
 void buildDispatchTables(Module &M) {

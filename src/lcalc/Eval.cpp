@@ -301,20 +301,15 @@ StepResult Evaluator::step(TypeEnv &Env, const Expr *E) {
 }
 
 RunResult Evaluator::run(TypeEnv &Env, const Expr *E, size_t MaxSteps) {
+  // Fuel pays for steps only: a run that ends after N steps ends with
+  // fuel N, as on every other engine.
   const Expr *Cur = E;
-  for (size_t I = 0; I != MaxSteps; ++I) {
+  for (size_t I = 0;; ++I) {
     StepResult R = step(Env, Cur);
-    switch (R.Status) {
-    case StepStatus::Stepped:
-      Cur = R.Next;
-      continue;
-    case StepStatus::Value:
-      return {StepStatus::Value, Cur, I};
-    case StepStatus::Bottom:
-      return {StepStatus::Bottom, Cur, I};
-    case StepStatus::Stuck:
-      return {StepStatus::Stuck, Cur, I};
-    }
+    if (R.Status != StepStatus::Stepped)
+      return {R.Status, Cur, I};
+    if (I == MaxSteps)
+      return {StepStatus::Stepped, Cur, MaxSteps}; // out of fuel
+    Cur = R.Next;
   }
-  return {StepStatus::Stepped, Cur, MaxSteps}; // out of fuel
 }

@@ -160,7 +160,12 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
     return R;
   };
 
-  for (; S.Steps != MaxSteps; ++S.Steps) {
+  // Fuel pays for transitions only: a run that halts (a value on an empty
+  // stack, or ERR) after N steps halts with fuel N, like the bytecode VM.
+  for (;; ++S.Steps) {
+    if (S.Steps == MaxSteps && !(isValue(Cur) && Stack.empty()) &&
+        Cur->kind() != Term::TermKind::Error)
+      break;
     S.MaxStackDepth = std::max(S.MaxStackDepth, Stack.size());
     S.MaxHeapSize = std::max(S.MaxHeapSize, H.size());
 

@@ -782,8 +782,7 @@ void Elaborator::fixStrictness(CoreEnv &Env, const core::Expr *E) {
     Result<const Type *> ArgTy = Checker.typeOf(Env, A->arg());
     Checker.setCheckStrictnessBits(true);
     if (ArgTy) {
-      CoreEnv KEnv = Env;
-      Result<const Kind *> K = Checker.kindOf(KEnv, *ArgTy);
+      Result<const Kind *> K = Checker.kindOf(Env, *ArgTy);
       if (K && Checker.isConcreteValueKind(*K)) {
         const RepTy *R = C.zonkRep(C.zonkKind(*K)->rep());
         bool Lifted = R->tag() == RepTy::Tag::Atom &&
@@ -813,8 +812,7 @@ void Elaborator::fixStrictness(CoreEnv &Env, const core::Expr *E) {
   case core::Expr::Tag::Let: {
     const auto *L = cast<LetExpr>(E);
     fixStrictness(Env, L->rhs());
-    CoreEnv KEnv = Env;
-    Result<const Kind *> K = Checker.kindOf(KEnv, L->varType());
+    Result<const Kind *> K = Checker.kindOf(Env, L->varType());
     if (K && Checker.isConcreteValueKind(*K)) {
       const RepTy *R = C.zonkRep(C.zonkKind(*K)->rep());
       bool Lifted = R->tag() == RepTy::Tag::Atom &&

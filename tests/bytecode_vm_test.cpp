@@ -15,9 +15,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "anf/Compile.h"
 #include "bytecode/Bytecode.h"
 #include "bytecode/Vm.h"
 #include "driver/Executor.h"
+#include "driver/LowerToL.h"
 #include "driver/Session.h"
 
 #include <gtest/gtest.h>
@@ -381,6 +383,104 @@ TEST(BytecodeCompilerTest, OverDeepTermIsAPinnedDiagnostic) {
 
 TEST(BytecodeCompilerTest, NullTermIsRejected) {
   EXPECT_FALSE(compile(nullptr).ok());
+}
+
+//===----------------------------------------------------------------------===//
+// Compile work grows linearly with the term
+//===----------------------------------------------------------------------===//
+
+/// Doubling the input may at most 2.2x each work count. Re-walking every
+/// closure's subterm (quadratic on both shapes below) gives about 4x.
+void expectLinear(const CompileStats &N, const CompileStats &TwoN) {
+  ASSERT_GT(N.FreeVarVisits, 0u);
+  ASSERT_GT(N.InstrsEmitted, 0u);
+  EXPECT_LE(TwoN.FreeVarVisits * 10, N.FreeVarVisits * 22)
+      << N.FreeVarVisits << " -> " << TwoN.FreeVarVisits;
+  EXPECT_LE(TwoN.InstrsEmitted * 10, N.InstrsEmitted * 22)
+      << N.InstrsEmitted << " -> " << TwoN.InstrsEmitted;
+}
+
+/// N nested lazy lets, each thunk holding the next binding and capturing
+/// the box bound just before it:
+///   let b0 = I#[0] in let x1 = R1 in case x1 of r -> r
+///   Rk = case b(k-1) of n -> let! m = n +# 1 in let bk = I#[m] in
+///        let x(k+1) = R(k+1) in x(k+1)
+///   RN = case b(N-1) of n -> I#[n]
+/// It evaluates to N - 1.
+CompileStats compileNestedThunks(unsigned N) {
+  mcalc::MContext MC;
+  std::vector<mcalc::MVar> B(N);
+  for (mcalc::MVar &V : B)
+    V = MC.freshPtr();
+  mcalc::MVar Last = MC.freshInt();
+  const mcalc::Term *Rhs = MC.caseOf(MC.var(B[N - 1]), Last, MC.conVar(Last));
+  for (unsigned K = N - 1; K != 0; --K) {
+    mcalc::MVar Nk = MC.freshInt(), Mk = MC.freshInt(), Next = MC.freshPtr();
+    Rhs = MC.caseOf(
+        MC.var(B[K - 1]), Nk,
+        MC.letBang(Mk,
+                   MC.prim(mcalc::MPrim::Add, mcalc::MAtom::var(Nk),
+                           mcalc::MAtom::lit(1)),
+                   MC.let(B[K], MC.conVar(Mk),
+                          MC.let(Next, Rhs, MC.var(Next)))));
+  }
+  mcalc::MVar X1 = MC.freshPtr(), R = MC.freshInt();
+  const mcalc::Term *T =
+      MC.let(B[0], MC.conLit(0),
+             MC.let(X1, Rhs, MC.caseOf(MC.var(X1), R, MC.var(R))));
+  CompileStats Stats;
+  auto Mod = compile(T, &Stats);
+  EXPECT_TRUE(Mod.ok()) << Mod.error();
+  if (Mod.ok()) {
+    Vm V;
+    EXPECT_EQ(intOf(V.run(**Mod, 1u << 22)), static_cast<int64_t>(N) - 1);
+  }
+  return Stats;
+}
+
+TEST(BytecodeCompilerTest, CompileWorkIsLinearInNestedThunks) {
+  expectLinear(compileNestedThunks(100), compileNestedThunks(200));
+}
+
+/// N Int# loops summed in one answer, through Session::compile and the
+/// driver's lowering of `ans`.
+CompileStats compileSummedLoops(unsigned N) {
+  std::string Src, Ans;
+  for (unsigned K = 0; K != N; ++K) {
+    std::string F = "f" + std::to_string(K);
+    Src += F + " :: Int# -> Int# -> Int# ; " + F + " acc n = case n of { " +
+           "0# -> acc ; _ -> " + F + " (acc +# n) (n -# 1#) } ; ";
+    Ans += (K ? " +# " : "") + F + " 0# 3#";
+  }
+  driver::Session S;
+  auto Comp = S.compile(Src + "ans :: Int# ; ans = " + Ans);
+  EXPECT_TRUE(Comp->ok()) << Comp->diagText();
+  CompileStats Stats;
+  if (!Comp->ok())
+    return Stats;
+  lcalc::LContext L;
+  mcalc::MContext MC;
+  driver::CoreToL Lower(Comp->ctx(), L);
+  auto LTerm = Lower.lowerGlobal(*Comp->program(), Comp->ctx().sym("ans"));
+  EXPECT_TRUE(LTerm.ok()) << LTerm.error();
+  if (!LTerm.ok())
+    return Stats;
+  anf::Compiler ToM(L, MC);
+  auto MTerm = ToM.compileClosed(*LTerm);
+  EXPECT_TRUE(MTerm.ok()) << MTerm.error();
+  if (!MTerm.ok())
+    return Stats;
+  auto Mod = compile(*MTerm, &Stats);
+  EXPECT_TRUE(Mod.ok()) << Mod.error();
+  if (Mod.ok()) {
+    Vm V;
+    EXPECT_EQ(intOf(V.run(**Mod, 1u << 22)), 6 * static_cast<int64_t>(N));
+  }
+  return Stats;
+}
+
+TEST(BytecodeCompilerTest, CompileWorkIsLinearInSummedLoops) {
+  expectLinear(compileSummedLoops(50), compileSummedLoops(100));
 }
 
 TEST(BytecodeDriverTest, OverDeepProgramFallsBackToTheMachine) {

@@ -682,6 +682,40 @@ TEST(DriverTest, RunAllPerRequestFuelIsADeadline) {
   EXPECT_EQ(Results[3].IntValue.value_or(-1), 500500);
 }
 
+TEST(DriverTest, OneFuelValueGivesOneStatusOnMachineAndBytecode) {
+  // Fuel pays for steps only, on every engine: a run that reports N
+  // steps finishes with fuel N and runs out with N - 1. So a budget at
+  // least both engines' step counts finishes on both, and one below
+  // both runs out on both.
+  Session S;
+  auto Comp = S.compile(LoopTotalSrc);
+  ASSERT_TRUE(Comp->ok()) << Comp->diagText();
+  auto RunWith = [&](Backend B, uint64_t Fuel) {
+    Executor Ex(Comp);
+    Ex.options().MaxInterpSteps = Fuel;
+    Ex.options().MaxMachineSteps = Fuel;
+    Ex.options().MaxVmSteps = Fuel;
+    return Ex.run("total", B);
+  };
+  const uint64_t Ample = uint64_t{1} << 30;
+  for (Backend B : {Backend::TreeInterp, Backend::AbstractMachine,
+                    Backend::Bytecode}) {
+    RunResult Full = RunWith(B, Ample);
+    ASSERT_TRUE(Full.ok()) << backendName(B) << ": " << Full.Error;
+    ASSERT_EQ(Full.Used, B);
+    EXPECT_TRUE(RunWith(B, Full.steps()).ok()) << backendName(B);
+    EXPECT_EQ(RunWith(B, Full.steps() - 1).St, RunResult::Status::OutOfFuel)
+        << backendName(B);
+  }
+
+  const uint64_t M = RunWith(Backend::AbstractMachine, Ample).steps();
+  const uint64_t V = RunWith(Backend::Bytecode, Ample).steps();
+  for (uint64_t Fuel : {std::max(M, V), std::min(M, V) - 1})
+    EXPECT_EQ(RunWith(Backend::AbstractMachine, Fuel).St,
+              RunWith(Backend::Bytecode, Fuel).St)
+        << "fuel " << Fuel;
+}
+
 TEST(DriverTest, CompileReportsPerCallOutcome) {
   // The CompileOutcome out-param attributes each call exactly: first
   // compile is FrontEnd, repeats are CacheHit, and the outcomes

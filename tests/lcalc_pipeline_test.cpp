@@ -128,6 +128,7 @@ TEST(LcalcPipelineTest, FuelIsAnArgumentOfEachRun) {
     PipelineResult Full = P.run(E, Fuel);
     ASSERT_TRUE(Full.ok()) << int(E) << ": " << Full.Error;
     ASSERT_GT(Full.Steps, 0u);
+    EXPECT_TRUE(P.run(E, Full.Steps).ok()) << int(E);
     PipelineResult Cut = P.run(E, Full.Steps - 1);
     EXPECT_EQ(Cut.St, PipelineResult::Status::OutOfFuel) << int(E);
     EXPECT_EQ(Cut.Error, "out of fuel");
