@@ -29,6 +29,7 @@
 #include "mcalc/Syntax.h"
 #include "support/Result.h"
 
+#include <span>
 #include <unordered_map>
 
 namespace levity {
@@ -46,11 +47,29 @@ public:
   Result<const mcalc::Term *> compile(lcalc::TypeEnv &Env,
                                       const lcalc::Expr *E);
 
-  /// Compiles a closed expression.
-  Result<const mcalc::Term *> compileClosed(const lcalc::Expr *E) {
+  /// A free variable of an open expression, typed by \p Ty and compiled
+  /// to \p Var (the driver's program globals: each names its cell).
+  struct FreeVar {
+    Symbol Name;
+    const lcalc::Type *Ty;
+    mcalc::MVar Var;
+  };
+
+  /// Compiles \p E whose free variables are \p Free.
+  Result<const mcalc::Term *> compileOpen(std::span<const FreeVar> Free,
+                                          const lcalc::Expr *E) {
     lcalc::TypeEnv Env;
     VarMap.clear();
+    for (const FreeVar &F : Free) {
+      Env.pushTerm(F.Name, F.Ty);
+      VarMap[F.Name] = F.Var;
+    }
     return compile(Env, E);
+  }
+
+  /// Compiles a closed expression.
+  Result<const mcalc::Term *> compileClosed(const lcalc::Expr *E) {
+    return compileOpen({}, E);
   }
 
 private:

@@ -24,12 +24,14 @@
 /// (thunks with black-holing update-on-force, closures, CON nodes, and
 /// the compact I# box).
 ///
-/// Modules are immutable after compile() and safe to share across any
+/// A program compiles to one Module: each top-level global has a run
+/// proto, and code reaches a global through its per-run cell
+/// (LoadGlobal), made on first demand. Modules are immutable after compile() and safe to share across any
 /// number of VMs/threads. The compiler is total over everything the
 /// driver's core→L→ANF→M lowering produces; genuinely out-of-fragment
 /// terms (free variables, over-deep nesting) fail with a pinned
-/// "bytecode backend: ..." diagnostic and the driver falls back to the
-/// term-graph machine — never a miscompile.
+/// "bytecode backend: ..." diagnostic, which the driver reports as the
+/// run's Unsupported status — never a miscompile.
 ///
 /// validate() re-checks every structural invariant the VM's dispatch
 /// loop trusts (code ranges, slot indices, pool indices, jump targets),
@@ -46,6 +48,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace levity {
@@ -83,11 +86,13 @@ enum class Op : uint8_t {
   PrimLocal = 23,   ///< pop lhs; apply MPrim A with rhs = locals[B]
   PrimInt = 24,     ///< pop lhs; apply MPrim A with rhs = IntPool[C]
   ReturnLocal = 25, ///< return locals[B] (fused LoadLocal+Return)
+  LoadGlobal = 26,  ///< push global C's per-run cell (made on first demand);
+                    ///< A = 1 forces it to WHNF like LoadForce
 };
 
 /// Number of opcodes; folded into the artifact fingerprint so a new
 /// instruction invalidates stale stores.
-inline constexpr unsigned NumOps = 26;
+inline constexpr unsigned NumOps = 27;
 
 /// One fixed-width instruction: a dense opcode plus three inline
 /// operands (their meaning per opcode is documented on Op).
@@ -162,9 +167,17 @@ struct SwitchTable {
   std::vector<int32_t> DenseAltIdx; ///< Empty when dense dispatch is off.
 };
 
-/// One compiled M term: the flat code stream, its protos, constant
-/// pools, and switch tables. Immutable after compile()/decode and safe
-/// to share across threads.
+/// A global of a program module: Run computes its value (a run of the
+/// global enters it), and LoadGlobal makes its per-run cell from Cell:
+/// Run as a thunk, or for a function its closure proto.
+struct Global {
+  uint32_t Run = 0;
+  uint32_t Cell = 0;
+};
+
+/// One compiled program: the flat code stream, its protos, constant
+/// pools, switch tables, and globals. Immutable after compile()/decode
+/// and safe to share across threads.
 struct Module {
   std::vector<Instr> Code;
   std::vector<Proto> Protos; ///< Protos[0] is the entry.
@@ -172,13 +185,14 @@ struct Module {
   std::vector<double> DblPool;
   std::vector<std::string> StrPool; ///< Error messages.
   std::vector<SwitchTable> Tables;
+  std::vector<Global> Globals; ///< Indexed by LoadGlobal's operand.
 };
 
 /// The compiler refuses terms nested deeper than this (its recursion
 /// depth must stay bounded) and frames
 /// needing more slots than a u16 operand can address. Both failures are
-/// pinned "bytecode backend: ..." diagnostics the driver answers with a
-/// clean fallback to the term-graph machine.
+/// pinned "bytecode backend: ..." diagnostics; the driver reports them
+/// as an Unsupported run.
 inline constexpr unsigned MaxCompileDepth = 1u << 11;
 inline constexpr unsigned MaxFrameSlots = 65535;
 
@@ -191,17 +205,31 @@ struct CompileStats {
   uint64_t InstrsEmitted = 0;
 };
 
-/// Compiles a closed M term to bytecode. Fails (never miscompiles) on
-/// out-of-fragment shapes: free variables, over-deep nesting, frames
-/// over MaxFrameSlots. The result is immutable and shareable. When
-/// \p Stats is given it receives the compile's work counts.
+/// A global for compileProgram: the term computing its value, and the
+/// pointer variable other terms name its cell by.
+struct GlobalTerm {
+  Symbol Var;
+  const mcalc::Term *Value = nullptr;
+};
+
+/// Compiles a program to one Module: Globals[k] becomes Module::Globals[k]
+/// (global 0 runs proto 0), and a use of its Var a LoadGlobal. Fails
+/// (never miscompiles) on out-of-fragment shapes: other free variables,
+/// over-deep nesting, frames over MaxFrameSlots. \p Stats, when given,
+/// receives the compile's work counts.
+Result<std::shared_ptr<const Module>>
+compileProgram(std::span<const GlobalTerm> Globals,
+               CompileStats *Stats = nullptr);
+
+/// Compiles a closed M term as a one-global program.
 Result<std::shared_ptr<const Module>> compile(const mcalc::Term *T,
                                               CompileStats *Stats = nullptr);
 
 /// Structural validation of everything the VM trusts: proto code ranges
-/// partition-safe and terminator-ended, slot/pool/proto/table operands
-/// in range, jump and switch targets inside the referencing proto, and
-/// capture sources inside the creating frame. compile() output always
+/// partition-safe and terminator-ended, slot/pool/proto/table/global
+/// operands in range, closed entry, run and cell protos, jump and switch
+/// targets inside the referencing proto, and capture sources inside the
+/// creating frame. compile() output always
 /// validates; decoded `.levc` payloads must pass this before running.
 bool validate(const Module &M);
 

@@ -5,8 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Compiles closed M terms to the flat Module format of Bytecode.h, and
-// validates Modules decoded from untrusted bytes.
+// Compiles programs of M terms to the flat Module format of Bytecode.h,
+// and validates Modules decoded from untrusted bytes.
 //
 // The compilation story is the paper's Section 6.2 invariant made
 // operational a second time: because every M binder carries exactly one
@@ -14,7 +14,10 @@
 // fixed slot of known register class, every atom movement a known-width
 // copy — with no runtime tagging decisions left. The term machine
 // re-substitutes on every beta step; here each lambda body, thunk
-// right-hand side, and the entry term becomes a Proto compiled once.
+// right-hand side, and each global's term becomes a Proto compiled once.
+// A global's variable is never captured: every occurrence loads the
+// global's per-run cell (LoadGlobal), so a closure's captures are its
+// local free variables only.
 //
 // Capture lists are computed once, bottom-up, before any code is emitted:
 // one walk of the whole term finds every proto's free variables in
@@ -33,8 +36,8 @@
 //
 // The compiler refuses what it cannot prove: a free variable, nesting
 // past MaxCompileDepth, or a frame over MaxFrameSlots yields a pinned
-// "bytecode backend: ..." diagnostic and the driver falls back to the
-// term-graph machine. It never emits code whose behavior could diverge
+// "bytecode backend: ..." diagnostic, which the driver reports as an
+// Unsupported run. It never emits code whose behavior could diverge
 // from the machine's.
 //
 //===----------------------------------------------------------------------===//
@@ -63,7 +66,8 @@ constexpr const char *DiagPrefix = "bytecode backend: ";
 /// The whole compilation state for one compile() call.
 class Compiler {
 public:
-  Result<std::shared_ptr<const Module>> run(const Term *Entry);
+  Result<std::shared_ptr<const Module>>
+  run(std::span<const GlobalTerm> Globals);
   const CompileStats &stats() const { return Stats; }
 
 private:
@@ -90,6 +94,8 @@ private:
   std::unordered_map<std::string, uint32_t> StrIdx;
   std::string Diag;
   unsigned Depth = 0;
+  /// Global variable → its index in Mod.Globals.
+  std::unordered_map<Symbol, uint32_t, SymbolHash> GlobalIdx;
 
   bool fail(std::string Msg) {
     if (Diag.empty())
@@ -151,6 +157,21 @@ private:
     return true;
   }
 
+  /// Pushes \p V: a frame slot (forced to WHNF when \p Force and the slot
+  /// holds a pointer), or a global's cell.
+  bool load(ProtoCtx &P, MVar V, bool Force) {
+    auto G = GlobalIdx.find(V.Name);
+    Binding B;
+    if (G != GlobalIdx.end() && !P.Scope.count(V.Name))
+      emit(P, Op::LoadGlobal, Force, 0, static_cast<int32_t>(G->second));
+    else if (!lookup(P, V, B))
+      return false;
+    else
+      emit(P, Force && B.Sort == VarSort::Ptr ? Op::LoadForce : Op::LoadLocal,
+           0, static_cast<uint16_t>(B.Slot));
+    return true;
+  }
+
   //===--------------------------------------------------------------------===//
   // Capture lists: one bottom-up pass over the whole term
   //===--------------------------------------------------------------------===//
@@ -199,6 +220,8 @@ private:
   void scanUse(MVar V) {
     ++Stats.FreeVarVisits;
     std::vector<uint32_t> &InScope = ScanScope[V.Name];
+    if (InScope.empty() && GlobalIdx.count(V.Name))
+      return; // Loaded from its cell, never captured.
     if (InScope.empty()) {
       InScope.push_back(static_cast<uint32_t>(ScanBinders.size()));
       ScanBinders.push_back({V, 0, 0});
@@ -480,11 +503,7 @@ private:
         emit(P, Op::PushInt, 0, 0, static_cast<int32_t>(intPool(A.Lit)));
       return true;
     }
-    Binding B;
-    if (!lookup(P, A.Var, B))
-      return false;
-    emit(P, Op::LoadLocal, 0, static_cast<uint16_t>(B.Slot));
-    return true;
+    return load(P, A.Var, /*Force=*/false);
   }
 
   /// True when a lazy `let` right-hand side becomes a thunk proto: it is
@@ -554,10 +573,8 @@ private:
         // Alias: the machine would allocate a one-variable thunk whose
         // force delegates; sharing the slot is observationally the same
         // and strictly lazier than a fresh cell.
-        Binding B;
-        if (!lookup(P, cast<mcalc::VarTerm>(R)->var(), B))
+        if (!load(P, cast<mcalc::VarTerm>(R)->var(), /*Force=*/false))
           return false;
-        emit(P, Op::LoadLocal, 0, static_cast<uint16_t>(B.Slot));
       } else if (!compileTerm(P, R, /*Tail=*/false)) {
         // Syntactic values: the machine's VAL rule yields them on first
         // lookup without a thunk step; building them eagerly cannot
@@ -627,17 +644,10 @@ private:
   bool compileTermInner(ProtoCtx &P, const Term *T, bool Tail) {
     using K = Term::TermKind;
     switch (T->kind()) {
-    case K::Var: {
-      const MVar V = cast<mcalc::VarTerm>(T)->var();
-      Binding B;
-      if (!lookup(P, V, B))
-        return false;
+    case K::Var:
       // Pointer reads in evaluation position force to WHNF (rules
       // EVAL/VAL); unboxed registers already hold values.
-      emit(P, B.Sort == VarSort::Ptr ? Op::LoadForce : Op::LoadLocal, 0,
-           static_cast<uint16_t>(B.Slot));
-      return true;
-    }
+      return load(P, cast<mcalc::VarTerm>(T)->var(), /*Force=*/true);
     case K::Lit:
       emit(P, Op::PushInt, 0, 0,
            static_cast<int32_t>(intPool(cast<mcalc::LitTerm>(T)->value())));
@@ -651,14 +661,11 @@ private:
            static_cast<int32_t>(intPool(cast<mcalc::ConLitTerm>(T)->value())));
       emit(P, Op::MkBox);
       return true;
-    case K::ConVar: {
-      Binding B;
-      if (!lookup(P, cast<mcalc::ConVarTerm>(T)->var(), B))
+    case K::ConVar:
+      if (!load(P, cast<mcalc::ConVarTerm>(T)->var(), /*Force=*/false))
         return false;
-      emit(P, Op::LoadLocal, 0, static_cast<uint16_t>(B.Slot));
       emit(P, Op::MkBox);
       return true;
-    }
     case K::Lam: {
       std::vector<MVar> Params;
       const Term *Body = collectLamSpine(T, Params);
@@ -736,13 +743,10 @@ private:
       for (size_t I = Args.size(); I-- > 0;) {
         const SpineArg &A = Args[I];
         switch (A.Kind) {
-        case K::AppVar: {
-          Binding B;
-          if (!lookup(P, A.V, B))
+        case K::AppVar:
+          if (!load(P, A.V, /*Force=*/false))
             return false;
-          emit(P, Op::LoadLocal, 0, static_cast<uint16_t>(B.Slot));
           break;
-        }
         case K::AppLit:
           emit(P, Op::PushInt, 0, 0, static_cast<int32_t>(intPool(A.I)));
           break;
@@ -880,17 +884,27 @@ private:
   }
 };
 
-Result<std::shared_ptr<const Module>> Compiler::run(const Term *Entry) {
-  // The entry is compiled like any proto with an empty capture scope;
-  // any variable lookup that misses is a free variable of the whole
-  // term (the driver's fragment boundary — fall back, never guess).
+Result<std::shared_ptr<const Module>>
+Compiler::run(std::span<const GlobalTerm> Globals) {
+  Mod.Globals.resize(Globals.size());
+  for (uint32_t K = 0; K != Globals.size(); ++K)
+    if (Globals[K].Var.valid())
+      GlobalIdx.emplace(Globals[K].Var, K);
+
+  // Each global's term is compiled like any proto with an empty capture
+  // scope; a variable that is neither bound nor a global is a free
+  // variable of the whole program (refused, never guessed).
   ProtoCtx Root;
-  uint32_t Idx;
-  if (!scanProto(Entry, 0) ||
-      !makeProto(Root, Entry, Entry, /*Params=*/{}, Idx))
-    return err(Diag.empty() ? std::string(DiagPrefix) + "compilation failed"
-                            : Diag);
-  assert(Idx == 0 && "entry proto must be proto 0");
+  for (size_t K = 0; K != Globals.size(); ++K) {
+    const Term *T = Globals[K].Value;
+    Global &G = Mod.Globals[K];
+    if (!(T ? scanProto(T, 0) && makeProto(Root, T, T, /*Params=*/{}, G.Run)
+            : fail("no term to compile")))
+      return err(Diag);
+    // A function's cell is its closure, the run proto's one child; any
+    // other global's cell is a thunk of its run proto.
+    G.Cell = G.Run + (T->kind() == Term::TermKind::Lam ? 1 : 0);
+  }
 
   // Link: concatenate per-proto code, rebasing proto-relative jump and
   // switch targets onto the flat stream.
@@ -900,6 +914,7 @@ Result<std::shared_ptr<const Module>> Compiler::run(const Term *Entry) {
   M->StrPool = std::move(Mod.StrPool);
   M->Tables = std::move(Mod.Tables);
   M->Protos = std::move(Mod.Protos);
+  M->Globals = std::move(Mod.Globals);
   size_t Total = 0;
   for (const auto &C : Ctxs)
     Total += C->Code.size();
@@ -936,15 +951,19 @@ Result<std::shared_ptr<const Module>> Compiler::run(const Term *Entry) {
 namespace levity {
 namespace bytecode {
 
-Result<std::shared_ptr<const Module>> compile(const mcalc::Term *T,
-                                              CompileStats *Stats) {
-  if (!T)
-    return err(std::string(DiagPrefix) + "no term to compile");
+Result<std::shared_ptr<const Module>>
+compileProgram(std::span<const GlobalTerm> Globals, CompileStats *Stats) {
   Compiler C;
-  Result<std::shared_ptr<const Module>> M = C.run(T);
+  Result<std::shared_ptr<const Module>> M = C.run(Globals);
   if (Stats)
     *Stats = C.stats();
   return M;
+}
+
+Result<std::shared_ptr<const Module>> compile(const mcalc::Term *T,
+                                              CompileStats *Stats) {
+  const GlobalTerm Entry{Symbol(), T};
+  return compileProgram({&Entry, 1}, Stats);
 }
 
 void buildDispatchTables(Module &M) {
@@ -1000,6 +1019,7 @@ StackEffect effectOf(const Instr &I) {
   case Op::PushDbl:
   case Op::LoadLocal:
   case Op::LoadForce:
+  case Op::LoadGlobal:
   case Op::MkClosure:
   case Op::MkThunk:
     return {0, 1, false};
@@ -1077,6 +1097,14 @@ bool validate(const Module &M) {
         return false;
   }
 
+  // A run enters a global's run proto like Protos[0]; a cell is made
+  // with no captures (a thunk or a closure, by its parameter count).
+  for (const Global &G : M.Globals)
+    if (G.Run >= M.Protos.size() || G.Cell >= M.Protos.size() ||
+        !M.Protos[G.Run].Caps.empty() || M.Protos[G.Run].numParams() != 0 ||
+        !M.Protos[G.Cell].Caps.empty())
+      return false;
+
   for (const Proto &P : M.Protos) {
     for (uint32_t Ip = P.Entry; Ip != P.End; ++Ip) {
       const Instr &I = M.Code[Ip];
@@ -1142,6 +1170,11 @@ bool validate(const Module &M) {
         break;
       case Op::ReturnLocal:
         if (I.B >= P.NumLocals)
+          return false;
+        break;
+      case Op::LoadGlobal:
+        if (I.A > 1 || I.C < 0 ||
+            static_cast<size_t>(I.C) >= M.Globals.size())
           return false;
         break;
       case Op::CallN:

@@ -82,7 +82,7 @@ const char *ccMismatchMsg(uint8_t ArgKind) {
 
 } // namespace
 
-VmResult Vm::run(const Module &M, uint64_t MaxSteps) {
+VmResult Vm::run(const Module &M, uint64_t MaxSteps, uint32_t EntryIdx) {
   VmResult R;
   VmStats S;
 
@@ -93,12 +93,13 @@ VmResult Vm::run(const Module &M, uint64_t MaxSteps) {
   // deque, so steady-state runs reuse prior runs' Objs (and their Fields
   // capacity) with no per-object allocator traffic.
   HeapUsed = 0;
+  GlobalCells.assign(M.Globals.size(), nullptr);
   Opers.reserve(256);
   Locals.reserve(1024);
   Frames.reserve(128);
 
   const Instr *Code = M.Code.data();
-  const Proto *Entry = &M.Protos[0];
+  const Proto *Entry = &M.Protos[EntryIdx];
   Frames.push_back({Entry, 0, 0, 0, nullptr});
   S.MaxFrameDepth = 1;
   Locals.resize(Entry->NumLocals);
@@ -117,6 +118,7 @@ VmResult Vm::run(const Module &M, uint64_t MaxSteps) {
   bool ApTail = false;  ///< Ledger: TailCalls vs Calls.
   Slot RetV;            ///< Value being returned.
   Slot PrLhs, PrRhs;    ///< Primop operands.
+  Slot FV;              ///< Value being forced to WHNF.
 
   auto deref = [](Slot V) {
     while (V.isPtr() && V.P->Kind == Obj::K::Ind)
@@ -169,7 +171,7 @@ VmResult Vm::run(const Module &M, uint64_t MaxSteps) {
       &&Lb_Return,   &&Lb_Prim,        &&Lb_MkBox,     &&Lb_UnBox,
       &&Lb_AllocCon, &&Lb_Jump,        &&Lb_If0,       &&Lb_Switch,
       &&Lb_Error,    &&Lb_CallN,       &&Lb_TailCallN, &&Lb_PrimLocal,
-      &&Lb_PrimInt,  &&Lb_ReturnLocal};
+      &&Lb_PrimInt,  &&Lb_ReturnLocal, &&Lb_LoadGlobal};
 #define VM_CASE(Name) Lb_##Name
 #define VM_NEXT()                                                              \
   do {                                                                         \
@@ -205,7 +207,32 @@ Dispatch:
   VM_NEXT();
 
   VM_CASE(LoadForce) : {
-    Slot V = Locals[LBase + I->B];
+    FV = Locals[LBase + I->B];
+    goto DoForce;
+  }
+
+  VM_CASE(LoadGlobal) : {
+    Obj *&Cell = GlobalCells[static_cast<uint32_t>(I->C)];
+    if (!Cell) {
+      // First demand this run: make the global's cell, a thunk of its
+      // cell proto or, for a function, its closure.
+      const uint32_t Q = M.Globals[static_cast<uint32_t>(I->C)].Cell;
+      Obj &O = AllocObj();
+      O.Kind = M.Protos[Q].numParams() ? Obj::K::Closure : Obj::K::Thunk;
+      O.ProtoIdx = Q;
+      ++S.Allocations;
+      NoteAlloc(0);
+      Cell = &O;
+    }
+    FV = Slot::ofPtr(Cell);
+    if (I->A)
+      goto DoForce;
+    Opers.push_back(FV);
+  }
+  VM_NEXT();
+
+  DoForce : {
+    Slot V = FV;
     for (;;) {
       if (!V.isPtr()) {
         // A heap cell can hold a raw unboxed value (rule VAL on a

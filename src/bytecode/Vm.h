@@ -138,7 +138,10 @@ struct VmResult {
 /// re-check operands.
 class Vm {
 public:
-  VmResult run(const Module &M, uint64_t MaxSteps);
+  /// Runs proto \p Entry: Protos[0] or a global's run proto. Every
+  /// global's cell starts empty each run and is made on first demand, so
+  /// each global is evaluated at most once per run.
+  VmResult run(const Module &M, uint64_t MaxSteps, uint32_t Entry = 0);
 
 private:
   struct FrameRec {
@@ -158,6 +161,7 @@ private:
   std::vector<Slot> Locals;
   std::vector<FrameRec> Frames;
   std::vector<Slot> ApBuf; ///< Scratch for tail-apply argument shuffles.
+  std::vector<Obj *> GlobalCells; ///< This run's cells, per global.
   /// Reference-stable object storage, recycled as a region: run() rewinds
   /// HeapUsed to 0 instead of clearing the deque, so steady-state runs
   /// reuse already-constructed Objs (and their Fields capacity) with zero

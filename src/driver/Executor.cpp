@@ -64,6 +64,15 @@ Answer readTree(const runtime::Value *V) {
   return A;
 }
 
+/// Completes \p R as the Unsupported run begun at \p Start.
+RunResult refuse(RunResult &R, std::string Why,
+                 std::chrono::steady_clock::time_point Start) {
+  R.St = RunResult::Status::Unsupported;
+  R.Error = std::move(Why);
+  R.Millis = millisSince(Start);
+  return R;
+}
+
 /// Maps a finished machine or bytecode-VM run's outcome onto the facade
 /// (\p Tier prefixes a stuck reason). True on a value.
 template <typename Outcome>
@@ -193,18 +202,19 @@ RunResult Executor::runMachine(std::string_view Name) {
   RunResult R;
   R.Used = Backend::AbstractMachine;
   auto Start = std::chrono::steady_clock::now();
-  Result<const mcalc::Term *> T = Comp->machineTerm(Name);
-  if (!T) {
-    R.St = RunResult::Status::Unsupported;
-    R.Error = T.error();
-    R.Millis = millisSince(Start);
-    return R;
-  }
+  const Compilation::Lowering &Lw = Comp->lowering();
+  auto It = Lw.Index.find(Name);
+  Result<const mcalc::Term *> T = It == Lw.Index.end()
+                                      ? err(Compilation::notLowered(Name))
+                                      : Lw.Globals[It->second].Value;
+  if (!T)
+    return refuse(R, T.error(), Start);
   // The machine itself is per-run state. It runs over this executor's
   // run-scoped MContext (reset each run) rather than the Compilation's
   // shared one, so run-time substitution terms and heap cells are
-  // reclaimed between runs instead of accumulating in the artifact.
-  mcalc::Machine M(runContext());
+  // reclaimed between runs instead of accumulating in the artifact. The
+  // other globals' cells are made on first demand.
+  mcalc::Machine M(runContext(), &Lw.Cells);
   mcalc::MachineResult MR = M.run(*T, Opts.MaxMachineSteps);
   R.Millis = millisSince(Start);
   R.Machine = MR.Stats;
@@ -225,28 +235,19 @@ bytecode::Vm &Executor::vm() {
 }
 
 RunResult Executor::runBytecode(std::string_view Name) {
-  auto Start = std::chrono::steady_clock::now();
-  Result<const bytecode::Module *> Mod = Comp->bytecodeModule(Name);
-  if (!Mod) {
-    // The M lowering gates fragment membership exactly as for the machine
-    // backend: a global outside the L fragment is Unsupported with the
-    // same "not expressible in L" diagnostic, on every backend. An M term
-    // outside the bytecode fragment falls back to the term-graph machine
-    // (never miscompile, never fail a program the machine can run); Used
-    // reports the backend that actually ran.
-    Result<const mcalc::Term *> T = Comp->machineTerm(Name);
-    if (T)
-      return runMachine(Name);
-    RunResult R;
-    R.Used = Backend::Bytecode;
-    R.St = RunResult::Status::Unsupported;
-    R.Error = T.error();
-    R.Millis = millisSince(Start);
-    return R;
-  }
-  bytecode::VmResult VR = vm().run(**Mod, Opts.MaxVmSteps);
   RunResult R;
   R.Used = Backend::Bytecode;
+  auto Start = std::chrono::steady_clock::now();
+  // One module holds the program; an entry names its global there, or
+  // carries the lowering's or the bytecode compiler's refusal.
+  const Compilation::VmProgram &P = Comp->vmProgram();
+  auto It = P.Entries.find(Name);
+  if (It == P.Entries.end())
+    return refuse(R, Compilation::notLowered(Name), Start);
+  if (!It->second)
+    return refuse(R, It->second.error(), Start);
+  bytecode::VmResult VR = vm().run(*P.Module, Opts.MaxVmSteps,
+                                   P.Module->Globals[*It->second].Run);
   R.Millis = millisSince(Start);
   R.Vm = VR.Stats;
   if (fillStatus(R, VR.Out, VR.ErrorMessage, "bytecode vm stuck: ",

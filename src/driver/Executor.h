@@ -78,11 +78,10 @@ public:
   RunResult run(std::string_view Name);
   /// Evaluates top-level \p Name on a specific backend. Tree runs share
   /// this executor's interpreter (memoized globals persist across
-  /// calls); machine runs replay from an empty heap every time. On a
-  /// store-hydrated Compilation, a bytecode run of a stored user binding
-  /// does no compile work; any other run (tree, machine, a prelude or
-  /// out-of-bytecode-fragment global) first triggers the lazy front-end
-  /// rebuild, once.
+  /// calls); machine and bytecode runs make every global's cell afresh
+  /// each run. On a store-hydrated Compilation, a bytecode run does no
+  /// compile work; a tree or machine run first triggers the lazy
+  /// front-end rebuild, once.
   RunResult run(std::string_view Name, Backend B);
 
   //===------------------------------------------------------------------===//

@@ -6,11 +6,110 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/LowerToL.h"
+#include "anf/Compile.h"
+#include "core/TypeCheck.h"
+#include "surface/Parser.h"
 
 #include <algorithm>
+#include <optional>
+#include <unordered_map>
 
 using namespace levity;
 using namespace levity::driver;
+
+namespace {
+
+/// Lowers the globals of one program into L and then M, each once.
+class CoreToL {
+public:
+  CoreToL(core::CoreContext &C, lcalc::LContext &L,
+          const core::CoreProgram &P)
+      : C(C), L(L) {
+    for (const core::TopBinding &B : P.Bindings) {
+      // First binding of a name wins, as in CoreProgram::find.
+      Bindings.try_emplace(B.Name, &B);
+      // scrutType types scrutinees that mention globals.
+      CoreScope.addGlobal(B.Name, B.Ty);
+    }
+  }
+
+  std::vector<LoweredGlobal> lowerProgram(std::span<const Symbol> Roots,
+                                          mcalc::MContext &MC);
+
+private:
+  Result<lcalc::LKind> lowerKind(const core::Kind *K);
+  Result<lcalc::RuntimeRep> lowerRep(const core::RepTy *R);
+  Result<const lcalc::Type *> lowerType(const core::Type *T);
+  /// Refuses core nested deeper than surface::MaxCoreNestingDepth, then
+  /// lowers one node (lowerNode).
+  Result<const lcalc::Expr *> lowerExpr(const core::Expr *E);
+  Result<const lcalc::Expr *> lowerNode(const core::Expr *E);
+
+  /// Lowers every core case shape — constructor alternatives, literal
+  /// alternatives, and default-only — through the one L tag-dispatch
+  /// case (which ANF compiles to the M switch).
+  Result<const lcalc::Expr *> lowerCase(const core::CaseExpr *Case);
+
+  /// The L data declaration for the saturated application of \p TC to
+  /// \p TyArgs, instantiating every constructor's field types. Each
+  /// distinct instantiation is declared once, named by its display name
+  /// (e.g. "Maybe Int").
+  Result<const lcalc::LDataDecl *>
+  dataDeclFor(const core::TyCon *TC,
+              std::span<const core::Type *const> TyArgs);
+
+  /// Splits a zonked type into a tycon head and its argument spine.
+  /// Null head when the type is not a (possibly applied) tycon.
+  const core::TyCon *typeHead(const core::Type *T,
+                              std::vector<const core::Type *> &Args);
+
+  /// Computes (and zonks) the core type of \p E under the binders
+  /// currently in scope — used to recover the scrutinee's type-argument
+  /// instantiation for polymorphic constructor cases.
+  Result<const core::Type *> scrutType(const core::Expr *E);
+
+  core::CoreContext &C;
+  lcalc::LContext &L;
+
+  /// The index of the global named \p Name, queuing it on first use;
+  /// none when the program binds no such name.
+  std::optional<uint32_t> global(Symbol Name) {
+    auto It = Index.find(Name);
+    if (It != Index.end())
+      return It->second;
+    auto B = Bindings.find(Name);
+    if (B == Bindings.end())
+      return std::nullopt;
+    Queue.push_back(B->second);
+    return Index[Name] = static_cast<uint32_t>(Queue.size() - 1);
+  }
+
+  Symbol reintern(Symbol S) { return L.sym(S.str()); }
+
+  std::unordered_map<Symbol, const core::TopBinding *, SymbolHash> Bindings;
+  std::unordered_map<Symbol, uint32_t, SymbolHash> Index; ///< Into Queue.
+  std::vector<const core::TopBinding *> Queue; ///< By global index.
+  std::vector<uint32_t> Used; ///< Globals the current one refers to.
+  unsigned Depth = 0;         ///< lowerExpr nesting.
+
+  /// String-typed binders currently in scope and the literal bound to
+  /// them — elaboration's administrative `error "msg"` redex is the one
+  /// producer; the error node's message is the one consumer.
+  std::unordered_map<Symbol, Symbol, SymbolHash> StringEnv;
+
+  /// Core-level typing state mirrored alongside the lowering: binders
+  /// are pushed/popped in lockstep with lowerExpr so scrutType can ask
+  /// the core checker for a scrutinee's type mid-lowering.
+  core::CoreChecker Checker{C};
+  core::CoreEnv CoreScope;
+
+  /// Data-decl instantiations this lowering has produced, keyed by
+  /// (tycon identity, zonked type-argument spine), in-progress recursive
+  /// decls (e.g. cons lists) included.
+  std::unordered_map<std::string, const lcalc::LDataDecl *> DeclCache;
+};
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Reps, kinds, types
@@ -178,25 +277,10 @@ CoreToL::dataDeclFor(const core::TyCon *TC,
                                                 : " (" + S + ")";
   }
 
-  // A completed decl under this name (from an earlier lowering into the
-  // same LContext) is reused after a shape check; a mismatch means a
-  // distinct tycon shares the name, so uniquify and declare fresh.
+  // A distinct tycon may share the display name: uniquify.
   std::string Name = Display;
-  for (unsigned Suffix = 2;; ++Suffix) {
-    const lcalc::LDataDecl *Existing = L.lookupData(L.sym(Name));
-    if (!Existing)
-      break;
-    bool Matches = Existing->numCons() == TC->dataCons().size();
-    for (size_t I = 0; Matches && I != TC->dataCons().size(); ++I)
-      Matches = Existing->con(I).Name.str() ==
-                    TC->dataCons()[I]->name().str() &&
-                Existing->con(I).arity() == TC->dataCons()[I]->arity();
-    if (Matches) {
-      DeclCache.emplace(Key, Existing);
-      return Existing;
-    }
+  for (unsigned Suffix = 2; L.lookupData(L.sym(Name)); ++Suffix)
     Name = Display + "#" + std::to_string(Suffix);
-  }
 
   lcalc::LDataDecl *Decl = L.declareData(L.sym(Name));
   // Register before lowering fields so recursive data types (cons
@@ -381,9 +465,24 @@ Result<const lcalc::Expr *> CoreToL::lowerCase(const core::CaseExpr *Case) {
 //===----------------------------------------------------------------------===//
 
 Result<const lcalc::Expr *> CoreToL::lowerExpr(const core::Expr *E) {
+  if (Depth == surface::MaxCoreNestingDepth)
+    return err("nesting too deep: the program nests deeper than " +
+               std::to_string(surface::MaxCoreNestingDepth) + " core levels");
+  ++Depth;
+  Result<const lcalc::Expr *> Out = lowerNode(E);
+  --Depth;
+  return Out;
+}
+
+Result<const lcalc::Expr *> CoreToL::lowerNode(const core::Expr *E) {
   switch (E->tag()) {
-  case core::Expr::Tag::Var:
-    return L.var(reintern(core::cast<core::VarExpr>(E)->name()));
+  case core::Expr::Tag::Var: {
+    Symbol Name = core::cast<core::VarExpr>(E)->name();
+    if (!CoreScope.lookupTerm(Name))
+      if (std::optional<uint32_t> K = global(Name))
+        Used.push_back(*K); // A free variable of L: the global's cell.
+    return L.var(reintern(Name));
+  }
 
   case core::Expr::Tag::Lit: {
     const core::Literal &Lit = core::cast<core::LitExpr>(E)->lit();
@@ -694,179 +793,59 @@ Result<const lcalc::Expr *> CoreToL::lowerExpr(const core::Expr *E) {
 // Globals
 //===----------------------------------------------------------------------===//
 
-void CoreToL::globalRefs(const core::CoreProgram &P, const core::Expr *E,
-                         std::vector<Symbol> &Bound,
-                         std::vector<Symbol> &Out) {
-  switch (E->tag()) {
-  case core::Expr::Tag::Var: {
-    Symbol Name = core::cast<core::VarExpr>(E)->name();
-    for (Symbol B : Bound)
-      if (B == Name)
-        return;
-    if (P.find(Name))
-      Out.push_back(Name);
-    return;
-  }
-  case core::Expr::Tag::Lit:
-    return;
-  case core::Expr::Tag::App: {
-    const auto *A = core::cast<core::AppExpr>(E);
-    globalRefs(P, A->fn(), Bound, Out);
-    globalRefs(P, A->arg(), Bound, Out);
-    return;
-  }
-  case core::Expr::Tag::TyApp:
-    globalRefs(P, core::cast<core::TyAppExpr>(E)->fn(), Bound, Out);
-    return;
-  case core::Expr::Tag::Lam: {
-    const auto *L = core::cast<core::LamExpr>(E);
-    Bound.push_back(L->var());
-    globalRefs(P, L->body(), Bound, Out);
-    Bound.pop_back();
-    return;
-  }
-  case core::Expr::Tag::TyLam:
-    globalRefs(P, core::cast<core::TyLamExpr>(E)->body(), Bound, Out);
-    return;
-  case core::Expr::Tag::Let: {
-    const auto *L = core::cast<core::LetExpr>(E);
-    globalRefs(P, L->rhs(), Bound, Out);
-    Bound.push_back(L->var());
-    globalRefs(P, L->body(), Bound, Out);
-    Bound.pop_back();
-    return;
-  }
-  case core::Expr::Tag::LetRec: {
-    const auto *L = core::cast<core::LetRecExpr>(E);
-    size_t Mark = Bound.size();
-    for (const core::RecBinding &B : L->bindings())
-      Bound.push_back(B.Var);
-    for (const core::RecBinding &B : L->bindings())
-      globalRefs(P, B.Rhs, Bound, Out);
-    globalRefs(P, L->body(), Bound, Out);
-    Bound.resize(Mark);
-    return;
-  }
-  case core::Expr::Tag::Case: {
-    const auto *Case = core::cast<core::CaseExpr>(E);
-    globalRefs(P, Case->scrut(), Bound, Out);
-    for (const core::Alt &A : Case->alts()) {
-      size_t Mark = Bound.size();
-      for (Symbol B : A.Binders)
-        Bound.push_back(B);
-      globalRefs(P, A.Rhs, Bound, Out);
-      Bound.resize(Mark);
+std::vector<LoweredGlobal> CoreToL::lowerProgram(std::span<const Symbol> Roots,
+                                                 mcalc::MContext &MC) {
+  for (Symbol R : Roots)
+    global(R);
+  // Out[K] is global K; the queue grows as lowering meets new globals.
+  std::vector<LoweredGlobal> Out;
+  std::vector<std::vector<uint32_t>> Users;
+  anf::Compiler ToM(L, MC);
+  std::vector<anf::Compiler::FreeVar> Free;
+  for (uint32_t K = 0; K != Queue.size(); ++K) {
+    Used.clear();
+    Result<const lcalc::Expr *> E = lowerExpr(Queue[K]->Rhs);
+    for (; Out.size() != Queue.size(); Users.emplace_back()) {
+      LoweredGlobal &G = Out.emplace_back();
+      G.Name = std::string(Queue[Out.size() - 1]->Name.str());
+      // '@' starts no M binder, so a cell variable is never shadowed.
+      G.Var = {MC.symbols().intern("@" + G.Name), mcalc::VarSort::Ptr};
     }
-    return;
-  }
-  case core::Expr::Tag::Con: {
-    for (const core::Expr *Arg : core::cast<core::ConExpr>(E)->args())
-      globalRefs(P, Arg, Bound, Out);
-    return;
-  }
-  case core::Expr::Tag::Prim: {
-    for (const core::Expr *Arg : core::cast<core::PrimOpExpr>(E)->args())
-      globalRefs(P, Arg, Bound, Out);
-    return;
-  }
-  case core::Expr::Tag::UnboxedTuple: {
-    for (const core::Expr *El :
-         core::cast<core::UnboxedTupleExpr>(E)->elems())
-      globalRefs(P, El, Bound, Out);
-    return;
-  }
-  case core::Expr::Tag::Error:
-    globalRefs(P, core::cast<core::ErrorExpr>(E)->message(), Bound, Out);
-    return;
-  }
-}
-
-Result<bool> CoreToL::orderDeps(
-    const core::CoreProgram &P, Symbol Name,
-    std::unordered_set<Symbol, SymbolHash> &Visiting,
-    std::unordered_set<Symbol, SymbolHash> &Done,
-    std::vector<Symbol> &Order,
-    std::unordered_set<Symbol, SymbolHash> &SelfRec) {
-  if (Done.count(Name))
-    return true;
-  if (Visiting.count(Name))
-    return err("not expressible in L: '" + std::string(Name.str()) +
-               "' is mutually recursive");
-  Visiting.insert(Name);
-
-  const core::TopBinding *B = P.find(Name);
-  assert(B && "ordering an unbound global");
-  std::vector<Symbol> Bound, Refs;
-  globalRefs(P, B->Rhs, Bound, Refs);
-  for (Symbol Ref : Refs) {
-    if (Ref == Name) {
-      // Self-recursion lowers through fix, not the dep order.
-      SelfRec.insert(Name);
-      continue;
+    std::sort(Used.begin(), Used.end());
+    Used.erase(std::unique(Used.begin(), Used.end()), Used.end());
+    Free.clear();
+    for (uint32_t R : Used) {
+      Users[R].push_back(K);
+      Result<const lcalc::Type *> Ty = lowerType(Queue[R]->Ty);
+      if (E && !Ty)
+        E = err(Ty.error());
+      if (Ty)
+        Free.push_back({reintern(Queue[R]->Name), *Ty, Out[R].Var});
     }
-    Result<bool> R = orderDeps(P, Ref, Visiting, Done, Order, SelfRec);
-    if (!R)
-      return R;
+    Out[K].Value = E ? ToM.compileOpen(Free, *E) : err(E.error());
   }
 
-  Visiting.erase(Name);
-  Done.insert(Name);
-  Order.push_back(Name);
-  return true;
-}
-
-Result<const lcalc::Expr *>
-CoreToL::lowerBindingRhs(const core::TopBinding *B, bool SelfRecursive) {
-  Result<const lcalc::Expr *> Rhs = lowerExpr(B->Rhs);
-  if (!Rhs || !SelfRecursive)
-    return Rhs;
-
-  // Self-recursive global: tie the knot with fix. The binder keeps the
-  // global's name so the references in the lowered right-hand side bind
-  // to it.
-  Result<const lcalc::Type *> Ty = lowerType(B->Ty);
-  if (!Ty)
-    return err(Ty.error());
-  return L.fix(reintern(B->Name), *Ty, *Rhs);
-}
-
-Result<const lcalc::Expr *> CoreToL::lowerGlobal(const core::CoreProgram &P,
-                                                 Symbol Name) {
-  const core::TopBinding *Target = P.find(Name);
-  if (!Target)
-    return err("no top-level binding named '" + std::string(Name.str()) +
-               "'");
-
-  // Seed the core typing scope with every program global so scrutType
-  // can type scrutinees that mention them.
-  for (const core::TopBinding &B : P.Bindings)
-    CoreScope.addGlobal(B.Name, B.Ty);
-
-  std::unordered_set<Symbol, SymbolHash> Visiting, Done, SelfRec;
-  std::vector<Symbol> Order;
-  Result<bool> Ordered = orderDeps(P, Name, Visiting, Done, Order, SelfRec);
-  if (!Ordered)
-    return err(Ordered.error());
-
-  // Order holds dependencies first and Name last. The target's own lowered
-  // right-hand side is the innermost body; every dependency wraps it in a
-  // lambda-binding whose evaluation order L derives from the kind.
-  // Self-recursive bindings (the target's included) lower to fix.
-  Result<const lcalc::Expr *> Term =
-      lowerBindingRhs(Target, SelfRec.count(Name) != 0);
-  if (!Term)
-    return Term;
-  const lcalc::Expr *Body = *Term;
-  for (size_t I = Order.size() - 1; I-- > 0;) {
-    const core::TopBinding *Dep = P.find(Order[I]);
-    Result<const lcalc::Type *> Ty = lowerType(Dep->Ty);
-    if (!Ty)
-      return err(Ty.error());
-    Result<const lcalc::Expr *> Rhs =
-        lowerBindingRhs(Dep, SelfRec.count(Dep->Name) != 0);
-    if (!Rhs)
-      return Rhs;
-    Body = L.app(L.lam(reintern(Dep->Name), *Ty, Body), *Rhs);
+  // A global that uses a failed global fails with its diagnostic.
+  std::vector<uint32_t> Failed;
+  for (uint32_t K = 0; K != Out.size(); ++K)
+    if (!Out[K].Value)
+      Failed.push_back(K);
+  while (!Failed.empty()) {
+    const uint32_t F = Failed.back();
+    Failed.pop_back();
+    for (uint32_t U : Users[F])
+      if (Out[U].Value) {
+        Out[U].Value = err(Out[F].Value.error());
+        Failed.push_back(U);
+      }
   }
-  return Body;
+  return Out;
+}
+
+std::vector<LoweredGlobal> driver::lowerProgram(core::CoreContext &C,
+                                                const core::CoreProgram &P,
+                                                std::span<const Symbol> Roots,
+                                                lcalc::LContext &L,
+                                                mcalc::MContext &MC) {
+  return CoreToL(C, L, P).lowerProgram(Roots, MC);
 }

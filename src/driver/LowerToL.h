@@ -6,11 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lowers elaborated core programs into closed L expressions (Figure 2)
-/// so that surface programs can be executed on the paper's formal
-/// backend: L → (Figure 7 ANF compilation) → M → the Figure 6 abstract
-/// machine. This is the bridge the driver's Backend::AbstractMachine
-/// rides.
+/// Lowers an elaborated core program into L (Figure 2), once, so that
+/// surface programs run on the paper's formal backend — L → (Figure 7
+/// ANF compilation) → M → the Figure 6 abstract machine — and on the
+/// bytecode VM compiled from the same M terms.
 ///
 /// The lowering targets L's executable fragment: Int, Int#, Double#,
 /// arrows, ∀, algebraic data (each saturated data-type instantiation
@@ -20,27 +19,34 @@
 /// both unboxed sorts; unary negation lowers through subtraction from
 /// zero; isTrue# lowers to a literal case producing Bool), every case
 /// shape — constructor alternatives, Int#/Double# literal alternatives,
-/// and default-only — through the one L tag-dispatch case, and
-/// recursion — single-binding letrec and self-recursive globals lower
-/// to L's fix, which the M compilation ties through a heap knot.
+/// and default-only — through the one L tag-dispatch case, single-binding
+/// letrec through L's fix (which the M compilation ties through a heap
+/// knot), and top-level recursion, mutual recursion included.
 ///
 /// The lowering is still deliberately *partial*: anything outside that
-/// fragment (strings, unboxed tuples, mutual recursion, conversions,
-/// non-exhaustive constructor cases without a default) fails with a
-/// descriptive "not expressible in L" message and the driver reports
-/// the program as unsupported on that backend rather than guessing.
-/// tests/driver_test.cpp pins one test per remaining boundary so
-/// fragment growth stays deliberate.
+/// fragment (strings, unboxed tuples, mutually recursive let,
+/// conversions, non-exhaustive constructor cases without a default)
+/// fails with a descriptive "not expressible in L" message, and the
+/// driver reports the global as unsupported on that backend rather than
+/// guessing. tests/driver_test.cpp pins one test per remaining boundary
+/// so fragment growth stays deliberate. Core nested deeper than
+/// surface::MaxCoreNestingDepth is refused too, so that no later pass
+/// recurses past it.
 ///
-/// Global references are resolved by binding each (transitively needed)
-/// top-level definition with a lambda:
+/// Globals are lowered by index, each once per program. lowerProgram
+/// lowers the user's bindings and every global they use. A global's
+/// right-hand side lowers to an L term whose free variables are the
+/// globals it uses, and ANF compiles it to an M term over their *cells*:
+/// free pointer variables whose heap cell holds the global's value, a
+/// raw Int# or Double# for an unlifted global (ANF evaluates every use
+/// of an unlifted value strictly, so such a cell is forced where used).
 ///
-///   ⟦g = rhs; … ; e⟧  =  (λg:τ_g. ⟦…; e⟧) ⟦rhs⟧
-///
-/// which L's kind-directed application rules evaluate with exactly the
-/// strictness the binding's type prescribes (TYPE P binders become
-/// M heap thunks, TYPE I binders evaluate eagerly). A self-recursive
-/// global's right-hand side becomes `fix g:τ_g. ⟦rhs⟧`.
+/// The M machine and the VM make a global's cell on first demand, once
+/// per run, so every backend evaluates a global at most once per run and
+/// only when it is demanded, as the tree interpreter does: an unused ⊥
+/// global is never evaluated, and top-level recursion needs no knot. A
+/// global outside the fragment fails alone, and every global that uses
+/// it fails with the same diagnostic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,103 +55,35 @@
 
 #include "core/CoreContext.h"
 #include "core/Program.h"
-#include "core/TypeCheck.h"
 #include "lcalc/Syntax.h"
+#include "mcalc/Syntax.h"
 #include "support/Result.h"
 
-#include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
+#include <string>
 #include <vector>
 
 namespace levity {
 namespace driver {
 
-/// Translates one core global (and its dependency cone) per call.
-class CoreToL {
-public:
-  CoreToL(core::CoreContext &C, lcalc::LContext &L) : C(C), L(L) {}
-
-  /// Lowers `Name` from \p P into a closed L expression whose value is
-  /// the global's value. Fails (with a "not expressible in L" reason)
-  /// outside the supported fragment.
-  Result<const lcalc::Expr *> lowerGlobal(const core::CoreProgram &P,
-                                          Symbol Name);
-
-  /// Lowers a zonked core type into L (used for binder annotations).
-  Result<const lcalc::Type *> lowerType(const core::Type *T);
-
-private:
-  Result<lcalc::LKind> lowerKind(const core::Kind *K);
-  Result<lcalc::RuntimeRep> lowerRep(const core::RepTy *R);
-  Result<const lcalc::Expr *> lowerExpr(const core::Expr *E);
-
-  /// Lowers every core case shape — constructor alternatives, literal
-  /// alternatives, and default-only — through the one L tag-dispatch
-  /// case (which ANF compiles to the M switch).
-  Result<const lcalc::Expr *> lowerCase(const core::CaseExpr *Case);
-
-  /// The L data declaration for the saturated application of \p TC to
-  /// \p TyArgs, instantiating every constructor's field types. Each
-  /// distinct instantiation is declared once per LContext (keyed by its
-  /// display name, e.g. "Maybe Int") and shape-checked on reuse.
-  Result<const lcalc::LDataDecl *>
-  dataDeclFor(const core::TyCon *TC,
-              std::span<const core::Type *const> TyArgs);
-
-  /// Splits a zonked type into a tycon head and its argument spine.
-  /// Null head when the type is not a (possibly applied) tycon.
-  const core::TyCon *typeHead(const core::Type *T,
-                              std::vector<const core::Type *> &Args);
-
-  /// Computes (and zonks) the core type of \p E under the binders
-  /// currently in scope — used to recover the scrutinee's type-argument
-  /// instantiation for polymorphic constructor cases.
-  Result<const core::Type *> scrutType(const core::Expr *E);
-
-  /// Collects the program globals referenced free in \p E (respecting
-  /// local shadowing) into \p Out.
-  void globalRefs(const core::CoreProgram &P, const core::Expr *E,
-                  std::vector<Symbol> &Bound, std::vector<Symbol> &Out);
-
-  /// Lowers one top-level binding's right-hand side, wrapping it in
-  /// `fix` when \p SelfRecursive (as recorded by orderDeps).
-  Result<const lcalc::Expr *> lowerBindingRhs(const core::TopBinding *B,
-                                              bool SelfRecursive);
-
-  /// Topologically orders Name's dependency cone (dependencies first,
-  /// Name last), recording self-referencing bindings in \p SelfRec
-  /// (they lower to fix). Mutual recursion fails, which L cannot
-  /// express.
-  Result<bool> orderDeps(const core::CoreProgram &P, Symbol Name,
-                         std::unordered_set<Symbol, SymbolHash> &Visiting,
-                         std::unordered_set<Symbol, SymbolHash> &Done,
-                         std::vector<Symbol> &Order,
-                         std::unordered_set<Symbol, SymbolHash> &SelfRec);
-
-  Symbol reintern(Symbol S) { return L.sym(S.str()); }
-
-  core::CoreContext &C;
-  lcalc::LContext &L;
-
-  /// String-typed binders currently in scope and the literal bound to
-  /// them — elaboration's administrative `error "msg"` redex is the one
-  /// producer; the error node's message is the one consumer.
-  std::unordered_map<Symbol, Symbol, SymbolHash> StringEnv;
-
-  /// Core-level typing state mirrored alongside the lowering: binders
-  /// are pushed/popped in lockstep with lowerExpr so scrutType can ask
-  /// the core checker for a scrutinee's type mid-lowering.
-  core::CoreChecker Checker{C};
-  core::CoreEnv CoreScope;
-
-  /// Data-decl instantiations this lowering has produced, keyed by
-  /// (tycon identity, zonked type-argument spine) — the map handles
-  /// in-progress recursive decls (e.g. cons lists); completed decls are
-  /// additionally found by display name in the shared LContext.
-  std::unordered_map<std::string, const lcalc::LDataDecl *> DeclCache;
+/// One global of a lowered program.
+struct LoweredGlobal {
+  std::string Name;
+  /// The pointer variable the other globals' M terms name its cell by.
+  mcalc::MVar Var;
+  /// The M term computing the global's value (what its cell holds), or
+  /// why it (or a global it uses) is outside the L fragment.
+  Result<const mcalc::Term *> Value = err("not lowered");
 };
+
+/// Lowers \p Roots and every global they use, each once, into \p L and
+/// \p MC. Lists the roots first (in order, repeats and names \p P does
+/// not bind dropped), then the globals they use in discovery order.
+std::vector<LoweredGlobal> lowerProgram(core::CoreContext &C,
+                                        const core::CoreProgram &P,
+                                        std::span<const Symbol> Roots,
+                                        lcalc::LContext &L,
+                                        mcalc::MContext &MC);
 
 } // namespace driver
 } // namespace levity

@@ -196,6 +196,11 @@ void levc::writeBytecodeModule(ByteWriter &W, const bytecode::Module &M) {
         W.u8(S);
     }
   }
+  W.u32(static_cast<uint32_t>(M.Globals.size()));
+  for (const bytecode::Global &G : M.Globals) {
+    W.u32(G.Run);
+    W.u32(G.Cell);
+  }
 }
 
 std::shared_ptr<const bytecode::Module>
@@ -313,6 +318,12 @@ levc::readBytecodeModule(ByteReader &R) {
     }
     M->Tables.push_back(std::move(T));
   }
+  uint32_t NumGlobals = ReadCount(MaxBcProtos);
+  M->Globals.resize(NumGlobals);
+  for (bytecode::Global &G : M->Globals) {
+    G.Run = R.u32();
+    G.Cell = R.u32();
+  }
   if (!R.ok())
     return nullptr;
 
@@ -349,13 +360,10 @@ Result<std::string> Compilation::serializeArtifact() const {
     std::sort(Names.begin(), Names.end());
     Names.erase(std::unique(Names.begin(), Names.end()), Names.end());
   };
-  std::vector<std::string> All, User;
+  std::vector<std::string> All;
   for (const core::TopBinding &B : Elaborated->Program.Bindings)
     All.emplace_back(B.Name.str());
-  for (Symbol Name : Elaborated->UserBindings)
-    User.emplace_back(Name.str());
   SortUnique(All);
-  SortUnique(User);
 
   ByteWriter Types;
   Types.u32(static_cast<uint32_t>(All.size()));
@@ -364,24 +372,19 @@ Result<std::string> Compilation::serializeArtifact() const {
     Types.str(globalTypeText(Name));
   }
 
-  // BCOD: the compiled bytecode of each user binding in the bytecode
-  // fragment, whatever the session's default backend — the VM is the
-  // production engine. Prelude and out-of-fragment globals are absent;
-  // a hydrated Compilation rebuilds them lazily from the source.
+  // BCOD: the program's one module, then its entry table (name → module
+  // global, or the refusal's diagnostic) sorted by name, whatever the
+  // session's default backend — the VM is the production engine.
+  const VmProgram &Vm = vmProgram();
   ByteWriter Bc;
-  {
-    ByteWriter Mods;
-    uint32_t NumBc = 0;
-    for (const std::string &Name : User) {
-      Result<const bytecode::Module *> Mod = bytecodeModule(Name);
-      if (!Mod)
-        continue;
-      Mods.str(Name);
-      levc::writeBytecodeModule(Mods, **Mod);
-      ++NumBc;
-    }
-    Bc.u32(NumBc);
-    Bc.raw(Mods.bytes());
+  Bc.u8(Vm.Module ? 1 : 0);
+  if (Vm.Module)
+    levc::writeBytecodeModule(Bc, *Vm.Module);
+  Bc.u32(static_cast<uint32_t>(Vm.Entries.size()));
+  for (const auto &[Name, Entry] : Vm.Entries) {
+    Bc.str(Name);
+    Bc.str(Entry ? std::string() : Entry.error());
+    Bc.u32(Entry ? *Entry : 0);
   }
 
   ByteWriter Meta;
@@ -493,25 +496,31 @@ Compilation::deserializeArtifact(std::string_view Bytes,
   if (!TypesR.ok())
     return nullptr;
 
-  // BCOD pre-populates the bytecode-module memo, so Backend::Bytecode
-  // runs of the user's bindings skip every compile stage.
-  // readBytecodeModule re-validates each module, so a corrupt payload can
-  // never reach the VM; any malformed module makes the artifact a miss.
-  MachinePipeline &MP = Comp->machine();
+  // BCOD installs the program's bytecode, so Backend::Bytecode runs skip
+  // every compile stage. readBytecodeModule re-validates the module and
+  // every entry must name one of its globals, so a corrupt payload can
+  // never reach the VM; anything malformed makes the artifact a miss.
+  auto Vm = std::make_unique<VmProgram>();
   ByteReader BcR(Bc);
-  uint32_t NumMods = BcR.u32();
-  if (!BcR.ok() || NumMods > NumTypes)
+  if (BcR.u8() && !(Vm->Module = levc::readBytecodeModule(BcR)))
     return nullptr;
-  for (uint32_t I = 0; I != NumMods; ++I) {
+  const size_t NumGlobals = Vm->Module ? Vm->Module->Globals.size() : 0;
+  uint32_t NumEntries = BcR.u32();
+  if (!BcR.ok() || NumEntries > NumTypes)
+    return nullptr;
+  for (uint32_t I = 0; I != NumEntries; ++I) {
     std::string Name(BcR.str());
-    std::shared_ptr<const bytecode::Module> M = levc::readBytecodeModule(BcR);
-    if (!BcR.ok() || !M)
+    std::string Refusal(BcR.str());
+    const uint32_t Global = BcR.u32();
+    if (!BcR.ok() || (Refusal.empty() && Global >= NumGlobals))
       return nullptr;
-    MP.BModules.emplace(
-        std::move(Name),
-        Result<std::shared_ptr<const bytecode::Module>>(std::move(M)));
+    Vm->Entries.emplace(std::move(Name), Refusal.empty()
+                                             ? Result<uint32_t>(Global)
+                                             : err(std::move(Refusal)));
   }
-  Comp->HydratedBytecode = NumMods > 0;
+  if (!BcR.atEnd())
+    return nullptr;
+  std::call_once(Comp->VmOnce, [&] { Comp->VmProg = std::move(Vm); });
 
   Comp->Timings.push_back({"hydrate", millisSince(Start)});
   Comp->Succeeded = true;

@@ -12,9 +12,10 @@
 /// re-running the front end, the core→L→ANF→M lowering or the bytecode
 /// compiler: the source text (for exact-match validation and the lazy
 /// front-end rebuild), the original stage timings, pretty-printed global
-/// types, and the compiled bytecode of the user's bindings. Everything
-/// else — core IR, M terms, prelude globals, out-of-fragment globals —
-/// is rebuilt lazily from the source on first use.
+/// types, and the program's compiled bytecode: one module plus a name →
+/// entry table covering the user's bindings and every global they use.
+/// Everything else — core IR, M terms — is rebuilt lazily from the
+/// source on first use.
 ///
 /// The format is *versioned twice*:
 ///
@@ -65,13 +66,15 @@ inline constexpr char Magic[4] = {'L', 'E', 'V', 'C'};
 /// v4: no MTRM section and no name counter in META; BCOD is mandatory
 /// and holds only the user's bindings.
 /// v5: no default-backend byte in META; it had no reader.
-inline constexpr uint32_t FormatVersion = 5;
+/// v6: BCOD is one program module plus a name → entry table, and a
+/// module lists its globals.
+inline constexpr uint32_t FormatVersion = 6;
 
 /// Names the semantics of the compiled artifacts. Bump whenever the
 /// core→L→ANF→M lowering changes observable output (new fragment,
 /// changed encodings, changed error strings) so stale artifacts are
 /// re-lowered instead of replayed.
-inline constexpr char PipelineEpoch[] = "core->L->ANF->M pr6";
+inline constexpr char PipelineEpoch[] = "core->L->ANF->M globals by index";
 
 /// Section identifiers (four ASCII bytes, little-endian u32). Unknown
 /// sections are skipped on read, so future writers may append sections
@@ -80,8 +83,8 @@ enum SectionId : uint32_t {
   SecSource = 0x20435253,   ///< "SRC " — the exact source text.
   SecMeta = 0x4154454D,     ///< "META" — stage timings.
   SecTypes = 0x45505954,    ///< "TYPE" — pretty-printed global types.
-  SecBytecode = 0x444F4342, ///< "BCOD" — compiled bytecode of the user's
-                            ///< bindings (mandatory).
+  SecBytecode = 0x444F4342, ///< "BCOD" — the entry table and the
+                            ///< program's bytecode module (mandatory).
 };
 
 /// The version fingerprint written into (and demanded of) every
@@ -151,8 +154,8 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Serializes one compiled bytecode module: protos, the flat code
-/// stream (stable bytecode::Op tags), constant pools, switch tables.
-/// Self-delimiting — modules concatenate inside the BCOD payload.
+/// stream (stable bytecode::Op tags), constant pools, switch tables and
+/// globals. Self-delimiting.
 void writeBytecodeModule(ByteWriter &W, const bytecode::Module &M);
 
 /// Decodes one bytecode module. The result passed bytecode::validate(),

@@ -119,12 +119,6 @@ void Compilation::adoptProgram(
   Succeeded = true;
 }
 
-Compilation::MachinePipeline &Compilation::machine() const {
-  std::call_once(MachineOnce,
-                 [this] { Machine = std::make_unique<MachinePipeline>(); });
-  return *Machine;
-}
-
 void Compilation::ensureFrontEnd() const {
   if (!Hydrated)
     return;
@@ -167,67 +161,50 @@ std::string Compilation::globalTypeText(std::string_view Name) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Compilation — the memoized machine lowering (thread-safe)
+// Compilation — the one lowering and its bytecode (built once)
 //===----------------------------------------------------------------------===//
 
-Result<const mcalc::Term *>
-Compilation::machineTerm(std::string_view Name) const {
-  MachinePipeline &MP = machine();
-  {
-    // Hot path: already lowered. Shared lock, no key allocation.
-    std::shared_lock<std::shared_mutex> Lock(MP.LowerMutex);
-    auto It = MP.MTerms.find(Name);
-    if (It != MP.MTerms.end())
-      return It->second;
-  }
-
-  // Artifacts carry no M terms: a hydrated Compilation lowers from the
-  // rebuilt front end exactly as a fresh compile does. Rebuild before
-  // taking the lock, so lowering never waits on the rebuild under it.
-  ensureFrontEnd();
-  std::unique_lock<std::shared_mutex> Lock(MP.LowerMutex);
-  auto It = MP.MTerms.find(Name); // Re-check: we may have raced.
-  if (It != MP.MTerms.end())
-    return It->second;
-
-  Result<const mcalc::Term *> Out = [&]() -> Result<const mcalc::Term *> {
-    if (!Elaborated)
-      return err("no compiled program");
-    CoreToL Lower(C, MP.L);
-    Result<const lcalc::Expr *> LTerm =
-        Lower.lowerGlobal(Elaborated->Program, C.sym(Name));
-    if (!LTerm)
-      return err(LTerm.error());
-    anf::Compiler Comp(MP.L, MP.MC);
-    return Comp.compileClosed(*LTerm);
-  }();
-  MP.MTerms.emplace(std::string(Name), Out);
-  return Out;
+const Compilation::Lowering &Compilation::lowering() const {
+  std::call_once(LowerOnce, [this] {
+    // Artifacts carry no M terms: a hydrated Compilation lowers from the
+    // rebuilt front end exactly as a fresh compile does.
+    ensureFrontEnd();
+    auto Lw = std::make_unique<Lowering>();
+    if (Elaborated)
+      Lw->Globals = lowerProgram(C, Elaborated->Program,
+                                 Elaborated->UserBindings, Lw->L, Lw->MC);
+    for (uint32_t K = 0; K != Lw->Globals.size(); ++K) {
+      const LoweredGlobal &G = Lw->Globals[K];
+      Lw->Index.emplace(G.Name, K);
+      if (G.Value)
+        Lw->Cells.emplace(G.Var.Name, *G.Value);
+    }
+    Lowered = std::move(Lw);
+  });
+  return *Lowered;
 }
 
-Result<const bytecode::Module *>
-Compilation::bytecodeModule(std::string_view Name) const {
-  MachinePipeline &MP = machine();
-  {
-    // Hot path: already compiled (or hydrated from the BCOD section).
-    std::shared_lock<std::shared_mutex> Lock(MP.LowerMutex);
-    auto It = MP.BModules.find(Name);
-    if (It != MP.BModules.end())
-      return It->second ? Result<const bytecode::Module *>(It->second->get())
-                        : err(It->second.error());
-  }
-  // Lower to M outside our lock: machineTerm takes LowerMutex itself, and
-  // the mutex is not recursive.
-  Result<const mcalc::Term *> MT = machineTerm(Name);
-  if (!MT)
-    return err(MT.error());
-
-  std::unique_lock<std::shared_mutex> Lock(MP.LowerMutex);
-  auto It = MP.BModules.find(Name); // Re-check: we may have raced.
-  if (It == MP.BModules.end())
-    It = MP.BModules.emplace(std::string(Name), bytecode::compile(*MT)).first;
-  return It->second ? Result<const bytecode::Module *>(It->second->get())
-                    : err(It->second.error());
+const Compilation::VmProgram &Compilation::vmProgram() const {
+  std::call_once(VmOnce, [this] {
+    const Lowering &Lw = lowering();
+    std::vector<bytecode::GlobalTerm> Terms;
+    for (const LoweredGlobal &G : Lw.Globals)
+      if (G.Value)
+        Terms.push_back({G.Var.Name, *G.Value});
+    Result<std::shared_ptr<const bytecode::Module>> Mod =
+        Terms.empty() ? err("no global to compile")
+                      : bytecode::compileProgram(Terms);
+    auto P = std::make_unique<VmProgram>();
+    uint32_t Next = 0;
+    for (const LoweredGlobal &G : Lw.Globals)
+      P->Entries.emplace(G.Name, !G.Value ? err(G.Value.error())
+                                 : !Mod   ? err(Mod.error())
+                                          : Result<uint32_t>(Next++));
+    if (Mod)
+      P->Module = *Mod;
+    VmProg = std::move(P);
+  });
+  return *VmProg;
 }
 
 //===----------------------------------------------------------------------===//
@@ -242,8 +219,6 @@ RunResult Compilation::run(std::string_view Name, Backend B) const {
   Executor Ex(shared_from_this());
   return Ex.run(Name, B);
 }
-
-lcalc::LContext &Compilation::lctx() const { return machine().L; }
 
 //===----------------------------------------------------------------------===//
 // Session — the sharded, LRU-bounded compilation cache

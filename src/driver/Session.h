@@ -24,9 +24,10 @@
 /// split GHC keeps between interface files and the runtime:
 ///
 ///  * A **Compilation is an immutable artifact**: source, core program,
-///    diagnostics, timings, and a lazily-but-once-built machine lowering
-///    (std::call_once). `run` and `globalType` are const and
-///    data-race-free, so any number of threads may share one Compilation.
+///    diagnostics, timings, and the program's lowering and bytecode,
+///    built lazily but once (std::call_once). `run` and `globalType` are
+///    const and data-race-free, so any number of threads may share one
+///    Compilation.
 ///  * An **Executor** (Executor.h) owns the mutable per-thread run state:
 ///    the tree-interpreter instance (value pool, memoized global thunks),
 ///    fuel knobs, and ad-hoc expression evaluation. One Executor per
@@ -53,8 +54,8 @@
 #ifndef LEVITY_DRIVER_SESSION_H
 #define LEVITY_DRIVER_SESSION_H
 
-#include "anf/Compile.h"
 #include "bytecode/Vm.h"
+#include "driver/LowerToL.h"
 #include "mcalc/Machine.h"
 #include "runtime/Interp.h"
 #include "surface/Elaborate.h"
@@ -62,10 +63,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -81,11 +82,11 @@ class Executor;
 enum class Backend : uint8_t {
   TreeInterp,      ///< The instrumented big-step core evaluator.
   AbstractMachine, ///< core → L → ANF (Figure 7) → the M machine (Figure 6).
-  Bytecode         ///< The M lowering compiled to flat bytecode and run on
-                   ///< the threaded VM (src/bytecode/): the production
-                   ///< engine, and the only code `.levc` artifacts store.
-                   ///< Out-of-fragment M terms fall back to the
-                   ///< term-graph machine.
+  Bytecode         ///< The M lowering compiled to one bytecode module and
+                   ///< run on the threaded VM (src/bytecode/): the
+                   ///< production engine, and the only code `.levc`
+                   ///< artifacts store. Nothing falls back to another
+                   ///< backend.
 };
 
 std::string_view backendName(Backend B);
@@ -162,7 +163,7 @@ struct RunResult {
   };
 
   Status St = Status::RuntimeError; ///< Outcome classification.
-  Backend Used = Backend::TreeInterp; ///< Backend that produced this result.
+  Backend Used = Backend::TreeInterp; ///< The backend asked for (and run).
   std::string Display;  ///< Pretty-printed value (empty unless Ok).
   std::optional<int64_t> IntValue;   ///< Int#/Int results.
   std::optional<double> DoubleValue; ///< Double#/Double results.
@@ -179,9 +180,8 @@ struct RunResult {
 
   /// Heap allocations the run performed, in the executing backend's cost
   /// model (thunks + boxes + closures for the tree interpreter, LET
-  /// firings for the M machine, heap objects for the bytecode VM).
-  /// Dispatches on Used — a Bytecode request that fell back to the
-  /// machine reports the machine's ledger.
+  /// firings and global cells for the M machine, heap objects for the
+  /// bytecode VM). Dispatches on Used.
   uint64_t allocations() const {
     switch (Used) {
     case Backend::TreeInterp:
@@ -242,9 +242,8 @@ struct RunResult {
 ///
 /// A Compilation is **immutable after build** and safe to share across
 /// threads: `run` and `globalType` are const and data-race-free. The
-/// abstract-machine lowering is built lazily but exactly once
-/// (std::call_once + a lowering mutex); its contexts are internally
-/// synchronized so concurrent machine runs may allocate fresh terms.
+/// program's lowering and its bytecode module are built lazily but
+/// exactly once (std::call_once) and are read-only afterwards.
 /// Mutable per-run state (the tree interpreter, fuel) lives in Executor —
 /// the const run() overloads here create a transient Executor per call,
 /// so cross-run thunk memoization needs a long-lived Executor.
@@ -281,19 +280,17 @@ public:
 
   /// True when this Compilation was rehydrated from an on-disk `.levc`
   /// artifact (CompileOptions::StorePath) instead of built by the front
-  /// end. Artifacts carry only the bytecode of the user's bindings, so
-  /// Backend::Bytecode runs of those bindings do *zero* front-end,
-  /// lowering or bytecode-compile work. Every other use (a tree or
-  /// machine run, a prelude or out-of-bytecode-fragment global,
+  /// end. Artifacts carry the program's bytecode module and its entry
+  /// table, so Backend::Bytecode runs do *zero* front-end, lowering or
+  /// bytecode-compile work. Every other use (a tree or machine run,
   /// program(), globalType()) rebuilds the front end lazily, exactly
   /// once, thread-safely, and then lowers as a fresh compile does.
   bool hydrated() const { return Hydrated; }
 
-  /// True when hydration restored at least one compiled bytecode module
-  /// from the artifact's BCOD section, so Backend::Bytecode runs of those
-  /// bindings execute with zero front-end, lowering, *or
-  /// bytecode-compilation* work.
-  bool hydratedBytecode() const { return HydratedBytecode; }
+  /// True when hydration restored the program's bytecode module from
+  /// the artifact's BCOD section, so Backend::Bytecode runs execute with
+  /// zero front-end, lowering, *or bytecode-compilation* work.
+  bool hydratedBytecode() const { return Hydrated && vmProgram().Module; }
 
   /// Per-stage wall-clock timings, in pipeline order. For hydrated
   /// compilations: the *original* build's stages (restored from the
@@ -307,10 +304,10 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Serializes this Compilation into the versioned `.levc` byte format.
-  /// Compiles every user binding to bytecode first (that is the point:
-  /// the artifact must make a cold process's bytecode runs compile-free);
-  /// bindings outside the bytecode fragment are left out and rebuilt
-  /// lazily on hydration. Thread-safe. Fails for failed, programmatic
+  /// Compiles the program to bytecode first (that is the point: the
+  /// artifact must make a cold process's bytecode runs compile-free);
+  /// globals outside the bytecode fragment are stored with their
+  /// diagnostics. Thread-safe. Fails for failed, programmatic
   /// (no source to key the store by) and hydrated compilations.
   Result<std::string> serializeArtifact() const;
 
@@ -364,9 +361,6 @@ public:
     return Elaborated ? &*Elaborated : nullptr;
   }
 
-  /// The L context of the machine lowering (internally synchronized).
-  lcalc::LContext &lctx() const;
-
   /// The option values this Compilation was built with (a private copy;
   /// later Session option changes do not affect existing artifacts).
   const CompileOptions &options() const { return Opts; }
@@ -396,54 +390,35 @@ private:
   /// once, via FrontEndOnce. No-op for front-end-built compilations.
   void ensureFrontEnd() const;
 
-  /// Lowers+compiles a global for the M machine, memoized per name.
-  /// Thread-safe: lowering is serialized behind the pipeline's mutex. On
-  /// a hydrated Compilation this first rebuilds the front end.
-  Result<const mcalc::Term *> machineTerm(std::string_view Name) const;
-
-  /// The bytecode module for a global, memoized per name (thread-safe
-  /// like machineTerm). A memo hit — hydrated modules included — does no
-  /// lowering; a miss lowers through machineTerm. Fails when the M
-  /// lowering itself failed *or* when the term is outside the bytecode
-  /// fragment — the Executor distinguishes the two by consulting
-  /// machineTerm.
-  Result<const bytecode::Module *> bytecodeModule(std::string_view Name) const;
-
-  /// The abstract-machine side of a Compilation: one L context, one M
-  /// context, and the memoized per-global lowerings. Created on first
-  /// AbstractMachine use (exactly once, via std::call_once) so
-  /// tree-interp-only clients pay nothing. The contexts are internally
-  /// synchronized; the memo tables are guarded by LowerMutex.
-  struct MachinePipeline {
+  /// The program's one lowering (LowerToL.h), built on first machine or
+  /// bytecode use, exactly once; a hydrated Compilation first rebuilds
+  /// its front end.
+  struct Lowering {
     lcalc::LContext L;
     mcalc::MContext MC;
-    /// Reader/writer lock over the memo tables: memo hits (the per-run
-    /// hot path) take it shared; lowering (which allocates across
-    /// L/MC/core contexts) takes it exclusive. Machine *runs* never
-    /// hold it.
-    std::shared_mutex LowerMutex;
-    /// Transparent hashing so memo hits look up by string_view without
-    /// allocating a key.
-    struct NameHash {
-      using is_transparent = void;
-      size_t operator()(std::string_view S) const {
-        return std::hash<std::string_view>()(S);
-      }
-    };
-    /// Global name → compiled M term (or the lowering failure, kept so
-    /// repeated runs do not re-walk an unsupported program).
-    std::unordered_map<std::string, Result<const mcalc::Term *>, NameHash,
-                       std::equal_to<>>
-        MTerms;
-    /// Global name → compiled bytecode module (or the reason the term is
-    /// outside the bytecode fragment). Hydration pre-populates this from
-    /// the artifact's BCOD section.
-    std::unordered_map<std::string,
-                       Result<std::shared_ptr<const bytecode::Module>>,
-                       NameHash, std::equal_to<>>
-        BModules;
+    std::vector<LoweredGlobal> Globals;
+    std::map<std::string, uint32_t, std::less<>> Index; ///< Into Globals.
+    mcalc::HeapMap Cells; ///< Cell variable → value term, per global.
   };
-  MachinePipeline &machine() const;
+  const Lowering &lowering() const;
+
+  /// The program's bytecode, compiled from lowering() on first bytecode
+  /// use, exactly once; a hydrated Compilation installs the module and
+  /// entries its artifact stores instead.
+  struct VmProgram {
+    std::shared_ptr<const bytecode::Module> Module; ///< Null: none runs.
+    /// Global name → its index in Module->Globals, or why it does not
+    /// run on the VM (its lowering's or the bytecode compiler's
+    /// diagnostic).
+    std::map<std::string, Result<uint32_t>, std::less<>> Entries;
+  };
+  const VmProgram &vmProgram() const;
+
+  /// The refusal of a run of a global the lowering does not hold.
+  static std::string notLowered(std::string_view Name) {
+    return "no top-level binding named '" + std::string(Name) +
+           "' among the user's bindings and the globals they use";
+  }
 
   CompileOptions Opts;
   std::string Source;
@@ -452,9 +427,6 @@ private:
   /// True for store-rehydrated compilations (set before publication,
   /// constant afterwards).
   bool Hydrated = false;
-  /// True when hydration restored compiled bytecode from the artifact's
-  /// BCOD section (set before publication, constant afterwards).
-  bool HydratedBytecode = false;
 
   /// Internally synchronized (see ctx()); mutable so const runs can
   /// allocate scratch nodes.
@@ -470,8 +442,10 @@ private:
   std::unordered_map<std::string, std::string> HydratedTypes;
   mutable std::once_flag FrontEndOnce;
 
-  mutable std::once_flag MachineOnce;
-  mutable std::unique_ptr<MachinePipeline> Machine;
+  mutable std::once_flag LowerOnce;
+  mutable std::unique_ptr<Lowering> Lowered;
+  mutable std::once_flag VmOnce;
+  mutable std::unique_ptr<VmProgram> VmProg;
 };
 
 /// A compiler session: options + compilation cache + counters.

@@ -8,6 +8,7 @@
 #include "mcalc/Machine.h"
 
 #include <limits>
+#include <unordered_set>
 
 using namespace levity;
 using namespace levity::mcalc;
@@ -139,6 +140,7 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
   const Term *Cur = T;
   std::vector<Frame> Stack;
   HeapMap H = std::move(InitialHeap);
+  std::unordered_set<Symbol, SymbolHash> GlobalsMade;
 
   // Substitution and heap cells all come from Ctx's arena, which is
   // monotone between resets — the end-of-run delta of bytesUsed() *is*
@@ -376,8 +378,19 @@ MachineResult Machine::runWithHeap(const Term *T, HeapMap InitialHeap,
       if (!V->var().isPtr())
         return Stuck("unresolved unboxed variable " + V->var().str());
       auto It = H.find(V->var().Name);
-      if (It == H.end())
-        return Stuck("dangling heap pointer " + V->var().str());
+      if (It == H.end()) {
+        // A global's cell is made on first demand; a later miss is a
+        // black-holed cell, like any thunk's.
+        const HeapMap::const_iterator G =
+            Globals ? Globals->find(V->var().Name) : HeapMap::const_iterator();
+        if (!Globals || G == Globals->end() ||
+            !GlobalsMade.insert(G->first).second)
+          return Stuck("dangling heap pointer " + V->var().str());
+        ++S.Allocations;
+        if (G->second->kind() == Term::TermKind::Con)
+          ++S.ConAllocs;
+        It = H.emplace(G->first, G->second).first;
+      }
       if (isValue(It->second)) {
         // VAL: simple lookup.
         ++S.VarLookups;

@@ -127,9 +127,15 @@ struct MachineResult {
 
 /// Executes M programs. One Machine may run many programs; each run has
 /// fresh stack/heap but shares the MContext's fresh-name supply.
+///
+/// \p Globals maps a program's globals, free pointer variables of its
+/// terms, to what their heap cells hold. A run makes a cell on its first
+/// lookup (an allocation, like LET), so it evaluates a global at most
+/// once and only when demanded.
 class Machine {
 public:
-  explicit Machine(MContext &Ctx) : Ctx(Ctx) {}
+  explicit Machine(MContext &Ctx, const HeapMap *Globals = nullptr)
+      : Ctx(Ctx), Globals(Globals) {}
 
   /// Runs ⟨T; ∅; ∅⟩ to completion (or \p MaxSteps).
   MachineResult run(const Term *T, uint64_t MaxSteps = 10000000);
@@ -142,6 +148,7 @@ public:
 
 private:
   MContext &Ctx;
+  const HeapMap *Globals;
 };
 
 } // namespace mcalc

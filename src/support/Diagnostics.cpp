@@ -41,6 +41,8 @@ std::string_view levity::diagCodeName(DiagCode Code) {
     return "missing-instance";
   case DiagCode::DuplicateDefinition:
     return "duplicate-definition";
+  case DiagCode::NestingTooDeep:
+    return "nesting-too-deep";
   case DiagCode::ArityError:
     return "arity-error";
   case DiagCode::Internal:

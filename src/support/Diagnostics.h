@@ -55,6 +55,7 @@ enum class DiagCode : uint8_t {
   MissingInstance,
   DuplicateDefinition,
   ArityError,
+  NestingTooDeep, ///< Past surface::MaxNestingDepth.
   Internal,
 };
 

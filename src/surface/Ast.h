@@ -173,6 +173,9 @@ struct SExpr {
   std::vector<SExprPtr> Elems;      ///< UnboxedTuple.
   STypePtr Ann_;                    ///< Ann.
   SourceLoc Loc;
+  /// Levels at and below this node: each lambda binder and let binding
+  /// is one, every other node one (the parser's nesting measure).
+  unsigned Height = 1;
 };
 
 //===----------------------------------------------------------------------===//

@@ -7,6 +7,8 @@
 
 #include "surface/Parser.h"
 
+#include <algorithm>
+
 using namespace levity;
 using namespace levity::surface;
 
@@ -43,8 +45,31 @@ bool surface::operatorFixity(std::string_view Op, int &Prec,
 }
 
 void Parser::error(std::string Msg) {
-  Diags.error(DiagCode::ParseError, std::move(Msg), peek().Loc);
+  if (!Abandoned)
+    Diags.error(DiagCode::ParseError, std::move(Msg), peek().Loc);
 }
+
+bool Parser::tooDeep(unsigned Levels) {
+  if (Levels <= MaxNestingDepth)
+    return false;
+  if (!Abandoned)
+    Diags.error(DiagCode::NestingTooDeep,
+                "nesting too deep: the program nests deeper than " +
+                    std::to_string(MaxNestingDepth) + " levels",
+                peek().Loc);
+  Abandoned = true;
+  Pos = Toks.size() - 1; // The end-of-input token.
+  return true;
+}
+
+void Parser::setHeight(SExpr &E, unsigned Height) {
+  E.Height = Height;
+  tooDeep(Depth - 1 + Height);
+}
+
+namespace {
+unsigned height(const SExprPtr &E) { return E ? E->Height : 0; }
+} // namespace
 
 bool Parser::expect(TokKind K, std::string_view Context) {
   if (eat(K))
@@ -361,6 +386,7 @@ SBindDecl Parser::parseBindTail(std::string Name, SourceLoc Loc) {
     B.Params.push_back(parseBinder());
   expect(TokKind::Equals, "in binding");
   B.Rhs = parseExpr();
+  tooDeep(static_cast<unsigned>(B.Params.size()) + height(B.Rhs));
   return B;
 }
 
@@ -394,6 +420,9 @@ STypePtr Parser::parseCType() {
 }
 
 STypePtr Parser::parseType() {
+  Level L(*this);
+  if (tooDeep(Depth))
+    return nullptr;
   STypePtr Lhs = parseBType();
   if (at(TokKind::Arrow)) {
     advance();
@@ -411,7 +440,7 @@ STypePtr Parser::parseBType() {
   STypePtr T = parseAType();
   if (!T)
     return T;
-  for (;;) {
+  for (unsigned Apps = 1; !tooDeep(Depth + Apps); ++Apps) {
     switch (peek().Kind) {
     case TokKind::ConId:
     case TokKind::VarId:
@@ -430,6 +459,7 @@ STypePtr Parser::parseBType() {
       return T;
     }
   }
+  return T;
 }
 
 STypePtr Parser::parseAType() {
@@ -492,6 +522,9 @@ STypePtr Parser::parseAType() {
 }
 
 SKindPtr Parser::parseKind() {
+  Level L(*this);
+  if (tooDeep(Depth))
+    return nullptr;
   SKindPtr K = parseKindAtom();
   if (at(TokKind::Arrow)) {
     advance();
@@ -546,8 +579,11 @@ SKindPtr Parser::parseKindAtom() {
 }
 
 SRep Parser::parseRep() {
+  Level L(*this);
   SRep R;
   R.Loc = peek().Loc;
+  if (tooDeep(Depth))
+    return R;
   eat(TokKind::Tick); // optional promotion quote
   if (at(TokKind::ConId)) {
     std::string Name = peek().Text;
@@ -591,6 +627,9 @@ SRep Parser::parseRep() {
 //===----------------------------------------------------------------------===//
 
 SExprPtr Parser::parseExpr() {
+  Level L(*this);
+  if (tooDeep(Depth))
+    return nullptr;
   switch (peek().Kind) {
   case TokKind::Backslash: {
     SourceLoc Loc = peek().Loc;
@@ -602,6 +641,7 @@ SExprPtr Parser::parseExpr() {
       E->Binders.push_back(parseBinder());
     expect(TokKind::Arrow, "in lambda");
     E->Body = parseExpr();
+    setHeight(*E, static_cast<unsigned>(E->Binders.size()) + height(E->Body));
     return E;
   }
   case TokKind::KwLet: {
@@ -613,6 +653,10 @@ SExprPtr Parser::parseExpr() {
     E->Binds = parseLetBinds();
     expect(TokKind::KwIn, "after let bindings");
     E->Body = parseExpr();
+    unsigned Below = height(E->Body);
+    for (const SLocalBind &B : E->Binds)
+      Below = std::max<unsigned>(Below, B.Params.size() + height(B.Rhs));
+    setHeight(*E, static_cast<unsigned>(E->Binds.size()) + Below);
     return E;
   }
   case TokKind::KwIf: {
@@ -626,6 +670,8 @@ SExprPtr Parser::parseExpr() {
     E->Then = parseExpr();
     expect(TokKind::KwElse, "in conditional");
     E->Else = parseExpr();
+    setHeight(*E, 1 + std::max({height(E->Cond), height(E->Then),
+                                height(E->Else)}));
     return E;
   }
   case TokKind::KwCase: {
@@ -643,6 +689,10 @@ SExprPtr Parser::parseExpr() {
       E->Alts.push_back(parseAlt());
     }
     expect(TokKind::RBrace, "to close case alternatives");
+    unsigned Below = height(E->Scrut);
+    for (const SAlt &A : E->Alts)
+      Below = std::max(Below, height(A.Rhs));
+    setHeight(*E, 1 + Below);
     return E;
   }
   default:
@@ -667,13 +717,19 @@ SExprPtr Parser::parseOpExpr(int MinPrec) {
     std::string Op = peek().Text;
     SourceLoc Loc = peek().Loc;
     advance();
-    SExprPtr Rhs = parseOpExpr(Right ? Prec : Prec + 1);
+    SExprPtr Rhs;
+    {
+      Level L(*this);
+      if (!tooDeep(Depth))
+        Rhs = parseOpExpr(Right ? Prec : Prec + 1);
+    }
     auto E = std::make_unique<SExpr>();
     E->T = SExpr::Tag::BinOp;
     E->Name = std::move(Op);
     E->Loc = Loc;
     E->Fn = std::move(Lhs);
     E->Arg = std::move(Rhs);
+    setHeight(*E, 1 + std::max(height(E->Fn), height(E->Arg)));
     Lhs = std::move(E);
   }
 }
@@ -705,6 +761,7 @@ SExprPtr Parser::parseFExpr() {
     App->Loc = E->Loc;
     App->Fn = std::move(E);
     App->Arg = parseAExpr();
+    setHeight(*App, 1 + std::max(height(App->Fn), height(App->Arg)));
     E = std::move(App);
   }
   return E;
@@ -771,6 +828,10 @@ SExprPtr Parser::parseAExpr() {
         E->Elems.push_back(parseExpr());
     }
     expect(TokKind::RHashParen, "to close unboxed tuple");
+    unsigned Below = 0;
+    for (const SExprPtr &El : E->Elems)
+      Below = std::max(Below, height(El));
+    setHeight(*E, 1 + Below);
     return E;
   }
   case TokKind::LParen: {
@@ -790,6 +851,7 @@ SExprPtr Parser::parseAExpr() {
       E->Body = std::move(Inner);
       E->Ann_ = parseCType();
       expect(TokKind::RParen, "to close annotation");
+      setHeight(*E, 1 + height(E->Body));
       return E;
     }
     expect(TokKind::RParen, "to close parenthesized expression");

@@ -23,6 +23,18 @@
 namespace levity {
 namespace surface {
 
+/// The nesting budget, in levels of the surface tree: each parenthesis,
+/// lambda binder, let binding, case, if, operator and application nests
+/// one. The parser refuses a deeper tree (DiagCode::NestingTooDeep).
+inline constexpr unsigned MaxNestingDepth = 128;
+
+/// The same budget in core levels, which the core → L lowering enforces
+/// for core built by hand: elaboration at most doubles a tree's depth (an
+/// operator application nests its left operand two applications deep; a
+/// lambda binder is two levels), plus a few levels at the leaves. Every
+/// pass after the lowering recurses at most this deep per global.
+inline constexpr unsigned MaxCoreNestingDepth = 2 * MaxNestingDepth + 16;
+
 /// Parses a token stream into an SModule. On error, reports to the
 /// engine and attempts recovery at the next ';'.
 class Parser {
@@ -89,9 +101,25 @@ private:
   SAlt parseAlt();
   std::vector<SLocalBind> parseLetBinds();
 
+  /// One level of the tree, open while a child is parsed.
+  struct Level {
+    Parser &P;
+    explicit Level(Parser &P) : P(P) { ++P.Depth; }
+    ~Level() { --P.Depth; }
+  };
+  /// True when a tree \p Levels deep is over the budget; the first time,
+  /// reports DiagCode::NestingTooDeep and abandons the parse (every loop
+  /// stops at end of input, and no later error is reported).
+  bool tooDeep(unsigned Levels);
+  /// Sets \p E's height and refuses it when the levels open above it
+  /// make the tree too deep.
+  void setHeight(SExpr &E, unsigned Height);
+
   std::vector<Token> Toks;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
+  unsigned Depth = 0; ///< Levels open above the current token.
+  bool Abandoned = false;
 };
 
 /// Fixity of a (surface) operator; returns false for unknown operators.

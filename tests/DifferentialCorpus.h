@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The ~65-program corpus shared by four harnesses:
+// The ~70-program corpus shared by four harnesses:
 //
 //   * tests/differential_backend_test.cpp — every program runs on all
 //     three backends and the RunResults, printed answers included, must
@@ -299,13 +299,29 @@ inline constexpr CorpusProgram Corpus[] = {
      "v", true},
     {"UnsupportedUnboxedTuple", "v = (# 1#, 2# #)", "v", false},
     {"UnsupportedConversion", "v = int2Double# 3#", "v", false},
+    // A mutually recursive let; top-level mutual recursion runs (below).
     {"UnsupportedMutualRecursion",
-     "ev :: Int# -> Int# ;"
-     "ev n = case n of { 0# -> 1# ; _ -> od (n -# 1#) } ;"
-     "od :: Int# -> Int# ;"
-     "od n = case n of { 0# -> 0# ; _ -> ev (n -# 1#) } ;"
-     "v = ev 10#",
+     "v :: Int# ;"
+     "v = let { ev n = case n of { 0# -> 1# ; _ -> od (n -# 1#) } ;"
+     "          od n = case n of { 0# -> 0# ; _ -> ev (n -# 1#) } }"
+     "    in ev 10#",
      "v", false},
+    // Top-level mutual recursion: each global reaches the other's cell.
+    {"IsEvenIsOdd",
+     "isEven :: Int# -> Int# ;"
+     "isEven n = case n of { 0# -> 1# ; _ -> isOdd (n -# 1#) } ;"
+     "isOdd :: Int# -> Int# ;"
+     "isOdd n = case n of { 0# -> 0# ; _ -> isEven (n -# 1#) } ;"
+     "v = isEven 10#",
+     "v", true},
+    // A global is evaluated only when demanded, unlifted ones included.
+    {"UnusedBottomGlobal",
+     "bad :: Int# ;"
+     "bad = error \"boom\" ;"
+     "pick :: Int# -> Int# ;"
+     "pick n = case n of { 0# -> 3# ; _ -> bad } ;"
+     "v = pick 0#",
+     "v", true},
 };
 
 inline constexpr size_t CorpusSize = sizeof(Corpus) / sizeof(Corpus[0]);

@@ -277,17 +277,17 @@ TEST(ArtifactStoreTest, WrongFormatVersionFallsBackToRecompile) {
 
 TEST(ArtifactStoreTest, PreviousFormatVersionArtifactRejected) {
   // Version skew: an artifact carrying the previous release's format
-  // version (v4, whose META began with a default-backend byte) must be
+  // version (v5, whose BCOD held one module per user binding) must be
   // treated as a miss and recompiled cleanly — even with a valid
   // checksum.
-  static_assert(levc::FormatVersion == 5,
+  static_assert(levc::FormatVersion == 6,
                 "update this test when bumping the format version");
   std::string Dir = freshStoreDir("oldversion");
   std::string Path = populateOne(Dir, RobustSrc);
 
   std::string Bytes = *support::readFileBinary(Path);
   ASSERT_TRUE(support::writeFileAtomic(
-      Path, patchAndReseal(Bytes, 4, /*Value=*/4, 4)));
+      Path, patchAndReseal(Bytes, 4, /*Value=*/5, 4)));
 
   // Direct deserialization also refuses it.
   std::string Patched = *support::readFileBinary(Path);
@@ -685,13 +685,11 @@ TEST(ArtifactStoreTest, BytecodeSectionServesVmRunsWithZeroLowering) {
       ++ThisProcessStages;
   EXPECT_EQ(ThisProcessStages, 1u) << Hyd->timingReport();
 
-  // The run neither lowers nor rebuilds: no allocation in the core or L
-  // context (runBytecode must look the module up before lowering).
+  // The run neither rebuilds nor lowers (lowering needs the rebuilt
+  // front end): no allocation in the core context.
   size_t CoreBytes = Hyd->ctx().arena().bytesUsed();
-  size_t LBytes = Hyd->lctx().arena().bytesUsed();
   RunResult HydBc = Hyd->run("v", Backend::Bytecode);
   EXPECT_EQ(Hyd->ctx().arena().bytesUsed(), CoreBytes);
-  EXPECT_EQ(Hyd->lctx().arena().bytesUsed(), LBytes);
   expectSameRunResult(OrigBc, HydBc, "bytecode via BCOD section");
   EXPECT_EQ(HydBc.Used, Backend::Bytecode);
   EXPECT_EQ(HydBc.IntValue.value_or(-1), 5050);
@@ -700,15 +698,44 @@ TEST(ArtifactStoreTest, BytecodeSectionServesVmRunsWithZeroLowering) {
   fs::remove_all(Dir);
 }
 
-/// The binding names in an artifact's BCOD section, in stored order.
+TEST(ArtifactStoreTest, HydratedRefusalDoesNotFailItsNeighbours) {
+  // The entry table stores a refused global's diagnostic next to the
+  // runnable ones: a cold process runs `ok` from the stored module and
+  // refuses `conv` with its exact message, with no front-end rebuild.
+  const char *Src = "conv = int2Double# 3# ; ok = 5#";
+  std::string Dir = freshStoreDir("refusal");
+  populateOne(Dir, Src);
+  Session S(storeOptions(Dir));
+  auto Comp = S.compile(Src);
+  ASSERT_TRUE(Comp->hydrated());
+  ASSERT_TRUE(Comp->hydratedBytecode());
+  size_t CoreBytes = Comp->ctx().arena().bytesUsed();
+  RunResult Ok = Comp->run("ok", Backend::Bytecode);
+  RunResult Conv = Comp->run("conv", Backend::Bytecode);
+  EXPECT_EQ(Comp->ctx().arena().bytesUsed(), CoreBytes) << "no rebuild";
+  EXPECT_EQ(S.stats().Compilations, 0u);
+  ASSERT_TRUE(Ok.ok()) << Ok.Error;
+  EXPECT_EQ(Ok.Used, Backend::Bytecode);
+  EXPECT_EQ(Ok.Display, "5#");
+  EXPECT_EQ(Conv.St, RunResult::Status::Unsupported);
+  EXPECT_EQ(Conv.Used, Backend::Bytecode);
+  EXPECT_EQ(Conv.Error, "not expressible in L: primop int2Double#");
+  fs::remove_all(Dir);
+}
+
+/// The names in an artifact's BCOD entry table, in stored order; every
+/// entry must run from the one module that precedes the table.
 std::vector<std::string> bytecodeSectionNames(const std::string &Bytes) {
   size_t Off = findSectionPayload(Bytes, levc::SecBytecode);
   EXPECT_NE(Off, 0u) << "every artifact carries a BCOD section";
   levc::ByteReader R(std::string_view(Bytes).substr(Off));
+  EXPECT_EQ(R.u8(), 1u) << "the program module leads the section";
+  EXPECT_NE(levc::readBytecodeModule(R), nullptr);
   std::vector<std::string> Names(R.u32());
   for (std::string &Name : Names) {
     Name = R.str();
-    EXPECT_NE(levc::readBytecodeModule(R), nullptr) << Name;
+    EXPECT_EQ(R.str(), "") << Name << " must run on the VM";
+    R.u32();
   }
   EXPECT_TRUE(R.ok());
   return Names;
@@ -716,8 +743,9 @@ std::vector<std::string> bytecodeSectionNames(const std::string &Bytes) {
 
 TEST(ArtifactStoreTest, TreeSessionArtifactStoresOnlyUserBytecode) {
   // The VM is the production engine, so a tree-backend session's
-  // artifact carries BCOD too: one module per user binding, none for the
-  // prelude's globals (plusInt, id, $, ...).
+  // artifact carries BCOD too: one module with an entry per user binding
+  // and none for the prelude's globals the program does not use
+  // (plusInt, id, $, ...).
   std::string Dir = freshStoreDir("userbcod");
   std::string Path = populateOne(Dir, RobustSrc);
   std::string Bytes = *support::readFileBinary(Path);
@@ -734,7 +762,7 @@ TEST(ArtifactStoreTest, TreeSessionArtifactStoresOnlyUserBytecode) {
 
 TEST(ArtifactStoreTest, ArtifactHoldsFourSectionsAndOnlyUserBytecode) {
   // A list-length program: its artifact is SRC, META, TYPE and BCOD, in
-  // that order, and BCOD holds modules for `len` and `v` alone.
+  // that order, and BCOD holds entries for `len` and `v` alone.
   const char *Src = "data L = N | C Int L ;"
                     "len :: L -> Int# ;"
                     "len xs = case xs of { N -> 0# ; C y ys -> 1# +# len ys } ;"

@@ -21,6 +21,7 @@
 #include "driver/Executor.h"
 #include "driver/LowerToL.h"
 #include "driver/Session.h"
+#include "surface/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -442,8 +443,34 @@ TEST(BytecodeCompilerTest, CompileWorkIsLinearInNestedThunks) {
   expectLinear(compileNestedThunks(100), compileNestedThunks(200));
 }
 
+/// Lowers \p Src's user bindings with the driver's program lowering and
+/// compiles them into one module; \p Stats receives the compile's work.
+/// Global 0 is the first user binding.
+std::shared_ptr<const Module> compileSource(const std::string &Src,
+                                            CompileStats &Stats) {
+  driver::Session S;
+  auto Comp = S.compile(Src);
+  EXPECT_TRUE(Comp->ok()) << Comp->diagText();
+  if (!Comp->ok())
+    return nullptr;
+  lcalc::LContext L;
+  mcalc::MContext MC;
+  std::vector<driver::LoweredGlobal> Globals = driver::lowerProgram(
+      Comp->ctx(), *Comp->program(), Comp->elabOutput()->UserBindings, L, MC);
+  std::vector<GlobalTerm> Terms;
+  for (const driver::LoweredGlobal &G : Globals) {
+    EXPECT_TRUE(G.Value.ok()) << G.Name << ": " << G.Value.error();
+    if (!G.Value.ok())
+      return nullptr;
+    Terms.push_back({G.Var.Name, *G.Value});
+  }
+  auto Mod = compileProgram(Terms, &Stats);
+  EXPECT_TRUE(Mod.ok()) << Mod.error();
+  return Mod.ok() ? *Mod : nullptr;
+}
+
 /// N Int# loops summed in one answer, through Session::compile and the
-/// driver's lowering of `ans`.
+/// driver's lowering of the program.
 CompileStats compileSummedLoops(unsigned N) {
   std::string Src, Ans;
   for (unsigned K = 0; K != N; ++K) {
@@ -452,29 +479,11 @@ CompileStats compileSummedLoops(unsigned N) {
            "0# -> acc ; _ -> " + F + " (acc +# n) (n -# 1#) } ; ";
     Ans += (K ? " +# " : "") + F + " 0# 3#";
   }
-  driver::Session S;
-  auto Comp = S.compile(Src + "ans :: Int# ; ans = " + Ans);
-  EXPECT_TRUE(Comp->ok()) << Comp->diagText();
   CompileStats Stats;
-  if (!Comp->ok())
-    return Stats;
-  lcalc::LContext L;
-  mcalc::MContext MC;
-  driver::CoreToL Lower(Comp->ctx(), L);
-  auto LTerm = Lower.lowerGlobal(*Comp->program(), Comp->ctx().sym("ans"));
-  EXPECT_TRUE(LTerm.ok()) << LTerm.error();
-  if (!LTerm.ok())
-    return Stats;
-  anf::Compiler ToM(L, MC);
-  auto MTerm = ToM.compileClosed(*LTerm);
-  EXPECT_TRUE(MTerm.ok()) << MTerm.error();
-  if (!MTerm.ok())
-    return Stats;
-  auto Mod = compile(*MTerm, &Stats);
-  EXPECT_TRUE(Mod.ok()) << Mod.error();
-  if (Mod.ok()) {
+  if (auto Mod = compileSource("ans :: Int# ; ans = " + Ans + " ; " + Src,
+                               Stats)) {
     Vm V;
-    EXPECT_EQ(intOf(V.run(**Mod, 1u << 22)), 6 * static_cast<int64_t>(N));
+    EXPECT_EQ(intOf(V.run(*Mod, 1u << 22)), 6 * static_cast<int64_t>(N));
   }
   return Stats;
 }
@@ -483,10 +492,51 @@ TEST(BytecodeCompilerTest, CompileWorkIsLinearInSummedLoops) {
   expectLinear(compileSummedLoops(50), compileSummedLoops(100));
 }
 
-TEST(BytecodeDriverTest, OverDeepProgramFallsBackToTheMachine) {
-  // Driver-level fallback: a program whose M lowering is deeper than
-  // the bytecode fragment allows must still run — on the term-graph
-  // machine, with Used reporting the backend that actually executed.
+/// N globals, each calling the one before: g0 x = x and
+/// gk x = g(k-1) (x +# 1#), so v = g(N-1) 0# is N - 1.
+std::string globalChain(unsigned N) {
+  std::string Src = "v = g" + std::to_string(N - 1) + " 0# ; ";
+  Src += "g0 :: Int# -> Int# ; g0 x = x";
+  for (unsigned K = 1; K != N; ++K) {
+    std::string G = "g" + std::to_string(K);
+    Src += " ; " + G + " :: Int# -> Int# ; " + G + " x = g" +
+           std::to_string(K - 1) + " (x +# 1#)";
+  }
+  return Src;
+}
+
+TEST(BytecodeDriverTest, LongGlobalChainRunsOnEveryBackendInLinearWork) {
+  // Each global lowers once into the program's one module, so doubling
+  // the chain at most 2.2x the VM's steps and the compiler's work, and
+  // the VM runs it itself.
+  uint64_t Steps[2];
+  CompileStats Work[2];
+  for (unsigned I = 0; I != 2; ++I) {
+    const unsigned N = 2000u << I;
+    SCOPED_TRACE(N);
+    driver::Session S;
+    auto Comp = S.compile(globalChain(N));
+    ASSERT_TRUE(Comp->ok()) << Comp->diagText();
+    for (driver::Backend B :
+         {driver::Backend::TreeInterp, driver::Backend::AbstractMachine,
+          driver::Backend::Bytecode}) {
+      driver::RunResult R = Comp->run("v", B);
+      ASSERT_TRUE(R.ok()) << driver::backendName(B) << ": " << R.Error;
+      EXPECT_EQ(R.Used, B);
+      EXPECT_EQ(R.Display, std::to_string(N - 1) + "#");
+      Steps[I] = R.steps();
+    }
+    ASSERT_NE(compileSource(globalChain(N), Work[I]), nullptr);
+  }
+  EXPECT_LE(Steps[1] * 10, Steps[0] * 22) << Steps[0] << " -> " << Steps[1];
+  expectLinear(Work[0], Work[1]);
+}
+
+TEST(BytecodeDriverTest, OverDeepProgramIsUnsupportedOnEveryCompiledBackend) {
+  // Core built by hand skips the parser's nesting budget; the core → L
+  // lowering enforces the same budget, so a chain nested past the
+  // bytecode compiler's depth is refused, typed, on the machine and on
+  // the VM alike — nothing falls back to another backend.
   driver::Session S;
   auto Comp = S.compileProgram([](core::CoreContext &C) {
     core::CoreProgram P;
@@ -497,15 +547,19 @@ TEST(BytecodeDriverTest, OverDeepProgramFallsBackToTheMachine) {
     return P;
   });
   ASSERT_TRUE(Comp->ok()) << Comp->diagText();
-  driver::RunResult R = Comp->run("v", driver::Backend::Bytecode);
-  ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_EQ(R.Used, driver::Backend::AbstractMachine)
-      << "out-of-fragment code must fall back, not fail";
-  EXPECT_EQ(R.IntValue.value_or(-1),
+  for (driver::Backend B :
+       {driver::Backend::AbstractMachine, driver::Backend::Bytecode}) {
+    driver::RunResult R = Comp->run("v", B);
+    EXPECT_EQ(R.St, driver::RunResult::Status::Unsupported) << R.Error;
+    EXPECT_EQ(R.Used, B);
+    EXPECT_EQ(R.Error, "nesting too deep: the program nests deeper than " +
+                           std::to_string(surface::MaxCoreNestingDepth) +
+                           " core levels");
+  }
+  driver::RunResult Tree = Comp->run("v", driver::Backend::TreeInterp);
+  ASSERT_TRUE(Tree.ok()) << Tree.Error;
+  EXPECT_EQ(Tree.IntValue.value_or(-1),
             static_cast<int64_t>(MaxCompileDepth + 64));
-  // The accessors must read the machine's ledger after the fallback.
-  EXPECT_EQ(R.steps(), R.Machine.Steps);
-  EXPECT_EQ(R.allocations(), R.Machine.Allocations);
 }
 
 //===----------------------------------------------------------------------===//

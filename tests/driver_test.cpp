@@ -21,10 +21,13 @@
 #include "driver/Executor.h"
 #include "driver/Session.h"
 #include "runtime/Samples.h"
+#include "surface/Parser.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <pthread.h>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -256,8 +259,8 @@ TEST(DriverTest, OneAnswerTextOnEveryBackend) {
 }
 
 TEST(DriverTest, BackendsAgreeOnRecursiveLoop) {
-  // The flagship Section 2.1 loop: self-recursion lowers to L's fix and
-  // the machine ties the knot through the heap (RECLET).
+  // The flagship Section 2.1 loop: self-recursion reaches the global's
+  // own cell, made once on first demand — no knot (RECLET) at all.
   Session S;
   auto Comp = S.compile("sumToH :: Int# -> Int# -> Int# ;"
                         "sumToH acc n = case n of {"
@@ -272,7 +275,8 @@ TEST(DriverTest, BackendsAgreeOnRecursiveLoop) {
   ASSERT_TRUE(Mach.ok()) << Mach.Error;
   EXPECT_EQ(Tree.IntValue.value_or(-1), 5050);
   EXPECT_EQ(Mach.IntValue.value_or(-1), 5050);
-  EXPECT_GT(Mach.Machine.Knots, 0u);
+  EXPECT_EQ(Mach.Machine.Knots, 0u);
+  EXPECT_EQ(Mach.Machine.Allocations, 1u) << "sumToH's cell, nothing else";
 }
 
 TEST(DriverTest, BackendsAgreeOnComparisonPrimops) {
@@ -411,20 +415,49 @@ TEST(DriverTest, FragmentRejectsNonExhaustiveConCaseWithoutDefault) {
             "without a default alternative");
 }
 
-TEST(DriverTest, FragmentRejectsMutualRecursion) {
-  // Self-recursion lowers to fix; a mutual cycle still has no L image.
+TEST(DriverTest, TopLevelMutualRecursionRunsOnEveryBackend) {
+  // Each global reaches the other through its cell: no knot, no fix.
   Session S;
   auto Comp = S.compile(
       "ev :: Int# -> Int# ;"
       "ev n = case n of { 0# -> 1# ; _ -> od (n -# 1#) } ;"
       "od :: Int# -> Int# ;"
       "od n = case n of { 0# -> 0# ; _ -> ev (n -# 1#) } ;"
-      "v = ev 10#");
+      "v = ev 10# ;"
+      "w = od 7#");
   ASSERT_TRUE(Comp->ok()) << Comp->diagText();
-  RunResult Mach = Comp->run("v", Backend::AbstractMachine);
-  EXPECT_EQ(Mach.St, RunResult::Status::Unsupported);
-  EXPECT_EQ(Mach.Error, "not expressible in L: 'ev' is mutually recursive");
-  EXPECT_EQ(Comp->run("v", Backend::TreeInterp).IntValue.value_or(-1), 1);
+  for (Backend B :
+       {Backend::TreeInterp, Backend::AbstractMachine, Backend::Bytecode}) {
+    RunResult V = Comp->run("v", B);
+    RunResult W = Comp->run("w", B);
+    ASSERT_TRUE(V.ok()) << backendName(B) << ": " << V.Error;
+    ASSERT_TRUE(W.ok()) << backendName(B) << ": " << W.Error;
+    EXPECT_EQ(V.Used, B);
+    EXPECT_EQ(V.Display, "1#") << backendName(B);
+    EXPECT_EQ(W.Display, "1#") << backendName(B);
+  }
+}
+
+TEST(DriverTest, UnsupportedGlobalDoesNotFailItsNeighbours) {
+  // A global outside the fragment fails alone with its own diagnostic;
+  // so does every global that uses it, and no other.
+  Session S;
+  auto Comp = S.compile("conv = int2Double# 3# ;"
+                        "ok = 5# ;"
+                        "user = conv");
+  ASSERT_TRUE(Comp->ok()) << Comp->diagText();
+  for (Backend B : {Backend::AbstractMachine, Backend::Bytecode}) {
+    RunResult Ok = Comp->run("ok", B);
+    ASSERT_TRUE(Ok.ok()) << backendName(B) << ": " << Ok.Error;
+    EXPECT_EQ(Ok.Used, B);
+    EXPECT_EQ(Ok.Display, "5#");
+    for (const char *Name : {"conv", "user"}) {
+      RunResult R = Comp->run(Name, B);
+      EXPECT_EQ(R.St, RunResult::Status::Unsupported) << Name;
+      EXPECT_EQ(R.Used, B);
+      EXPECT_EQ(R.Error, "not expressible in L: primop int2Double#") << Name;
+    }
+  }
 }
 
 TEST(DriverTest, MachineRunsNonIHashConstructors) {
@@ -536,6 +569,93 @@ TEST(DriverTest, SourceHashIsStable) {
 //===----------------------------------------------------------------------===//
 // (c) Diagnostics through the facade
 //===----------------------------------------------------------------------===//
+
+/// Runs \p Fn on a thread with a 1-MiB stack, 8x less than the default,
+/// in an optimized build. Sanitizers and unoptimized builds grow frames
+/// several times over (ASan about tenfold), so those get the default
+/// 8 MiB.
+void onSmallStack(const std::function<void()> &Fn) {
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) &&                       \
+    !defined(__SANITIZE_THREAD__)
+  const size_t Stack = size_t{1} << 20;
+#else
+  const size_t Stack = size_t{8} << 20;
+#endif
+  pthread_attr_t Attr;
+  pthread_attr_init(&Attr);
+  pthread_attr_setstacksize(&Attr, Stack);
+  pthread_t T;
+  auto Trampoline = [](void *F) -> void * {
+    (*static_cast<const std::function<void()> *>(F))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&T, &Attr, Trampoline,
+                           const_cast<std::function<void()> *>(&Fn)),
+            0);
+  pthread_join(T, nullptr);
+  pthread_attr_destroy(&Attr);
+}
+
+TEST(DriverTest, NestingBudgetAdmitsExactlyItsDepth) {
+  // Each shape nests Levels deep. At the budget the program compiles
+  // and runs on every backend within a 1-MiB stack (8 MiB under a
+  // sanitizer or in a debug build); one level more is the typed
+  // diagnostic.
+  auto Repeat = [](const std::string &S, unsigned N) {
+    std::string Out;
+    for (unsigned I = 0; I != N; ++I)
+      Out += S;
+    return Out;
+  };
+  struct Shape {
+    const char *Name;
+    std::function<std::string(unsigned)> Source;
+    std::string Answer;
+  };
+  const unsigned Max = surface::MaxNestingDepth;
+  const std::vector<Shape> Shapes = {
+      {"parens",
+       [&](unsigned L) {
+         return "v = " + Repeat("(", L - 1) + "1#" + Repeat(")", L - 1);
+       },
+       "1#"},
+      {"operator chain",
+       [&](unsigned L) { return "v = 1#" + Repeat(" +# 1#", L - 1); },
+       std::to_string(Max) + "#"},
+      {"lambdas",
+       [&](unsigned L) { return "v = " + Repeat("\\x -> ", L - 1) + "1#"; },
+       "<closure>"},
+      {"case",
+       [&](unsigned L) {
+         return "v = " + Repeat("case 1# of { _ -> ", L - 1) + "1#" +
+                Repeat(" }", L - 1);
+       },
+       "1#"},
+      {"let",
+       [&](unsigned L) { return "v = " + Repeat("let a = 1# in ", L - 1) + "a"; },
+       "1#"},
+  };
+  for (const Shape &Sh : Shapes) {
+    SCOPED_TRACE(Sh.Name);
+    onSmallStack([&] {
+      Session S;
+      auto Comp = S.compile(Sh.Source(Max));
+      ASSERT_TRUE(Comp->ok()) << Comp->diagText();
+      for (Backend B : {Backend::TreeInterp, Backend::AbstractMachine,
+                        Backend::Bytecode}) {
+        RunResult R = Comp->run("v", B);
+        ASSERT_TRUE(R.ok()) << backendName(B) << ": " << R.Error;
+        EXPECT_EQ(R.Display, Sh.Answer) << backendName(B);
+      }
+      auto Deeper = S.compile(Sh.Source(Max + 1));
+      ASSERT_FALSE(Deeper->ok());
+      ASSERT_EQ(Deeper->diags().diagnostics().size(), 1u)
+          << Deeper->diagText();
+      EXPECT_EQ(Deeper->diags().diagnostics()[0].Code,
+                DiagCode::NestingTooDeep);
+    });
+  }
+}
 
 TEST(DriverTest, DiagnosticsCarryLocAndCode) {
   Session S;

@@ -661,6 +661,36 @@ TEST(ServerStreamTest, InfiniteAnswerIsPrintedNotForced) {
   EXPECT_EQ(Got[5].Payload, "42#");
 }
 
+TEST(ServerStreamTest, OverDeepCompileIsAnErrorAndTheConnectionGoesOn) {
+  // 14,000 nested parentheses (28 KB) once overflowed the parser's stack.
+  // They now meet the nesting budget: a compile error naming it, and the
+  // next RUN on the same connection is answered.
+  std::string Deep = "v = " + std::string(14000, '(') + "1#" +
+                     std::string(14000, ')');
+  std::string Wire = formatRequest(compileReq("t", "v", Deep)) +
+                     formatRequest(compileReq("t", "answer", AnswerSrc)) +
+                     formatRequest(runReq("t", "answer"));
+  std::istringstream In(Wire);
+  std::ostringstream Out;
+  Server S({});
+  S.serveStream(In, Out);
+
+  ResponseReader Reader;
+  Reader.append(Out.str());
+  std::vector<Response> Got;
+  while (std::optional<Result<Response>> F = Reader.next()) {
+    ASSERT_TRUE(F->ok()) << F->error();
+    Got.push_back(std::move(**F));
+  }
+  ASSERT_EQ(Got.size(), 3u);
+  EXPECT_EQ(Got[0].St, Response::Status::Error);
+  EXPECT_NE(Got[0].Payload.find("[nesting-too-deep]"), std::string::npos)
+      << Got[0].Payload;
+  EXPECT_EQ(Got[1].St, Response::Status::Ok) << Got[1].Payload;
+  EXPECT_EQ(Got[2].St, Response::Status::Ok) << Got[2].Payload;
+  EXPECT_EQ(Got[2].Payload, "42#");
+}
+
 TEST(ServerStreamTest, ServeStreamSpeaksTheFullProtocol) {
   std::string Src(AnswerSrc);
   std::string Wire = formatRequest(compileReq("alice", "answer", Src)) +
