@@ -6,41 +6,55 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/CoreContext.h"
+#include "core/Prelude.h"
 
 using namespace levity;
 using namespace levity::core;
 
-CoreContext::CoreContext() {
+CoreContext::CoreContext() : CoreContext(&Prelude::get().context()) {}
+
+CoreContext::CoreContext(const CoreContext *Parent)
+    : Parent(Parent), Symbols(Parent ? &Parent->Symbols : nullptr) {
+  if (Parent) {
+    // Share the frozen parent's built-in environment.
+    Builtin = Parent->Builtin;
+    return;
+  }
+
+  BuiltinEnv &B = Builtin;
   // Primitive unboxed tycons: Int# :: TYPE IntRep, etc.
-  IntHashTC = makeTyCon(sym("Int#"), kindTYPE(intRep()), intRep());
-  WordHashTC = makeTyCon(sym("Word#"), kindTYPE(wordRep()), wordRep());
-  FloatHashTC = makeTyCon(sym("Float#"), kindTYPE(floatRep()), floatRep());
-  DoubleHashTC =
+  B.IntHashTC = makeTyCon(sym("Int#"), kindTYPE(intRep()), intRep());
+  B.WordHashTC = makeTyCon(sym("Word#"), kindTYPE(wordRep()), wordRep());
+  B.FloatHashTC = makeTyCon(sym("Float#"), kindTYPE(floatRep()), floatRep());
+  B.DoubleHashTC =
       makeTyCon(sym("Double#"), kindTYPE(doubleRep()), doubleRep());
   // String: opaque, boxed, lifted (stands in for [Char]).
-  StringTC = makeTyCon(sym("String"), typeKind(), liftedRep());
+  B.StringTC = makeTyCon(sym("String"), typeKind(), liftedRep());
 
   // data Int = I# Int# — an ordinary algebraic data type (Section 2.1).
-  IntTC = makeTyCon(sym("Int"), typeKind(), liftedRep());
-  IHashDC = makeDataCon(sym("I#"), IntTC, {}, {}, {conTy(IntHashTC)});
+  TyCon *Int = makeTyCon(sym("Int"), typeKind(), liftedRep());
+  B.IntTC = Int;
+  B.IHashDC = makeDataCon(sym("I#"), Int, {}, {}, {conTy(B.IntHashTC)});
 
   // data Double = D# Double#.
-  DoubleTC = makeTyCon(sym("Double"), typeKind(), liftedRep());
-  DHashDC = makeDataCon(sym("D#"), DoubleTC, {}, {}, {conTy(DoubleHashTC)});
+  TyCon *Double = makeTyCon(sym("Double"), typeKind(), liftedRep());
+  B.DoubleTC = Double;
+  B.DHashDC = makeDataCon(sym("D#"), Double, {}, {}, {conTy(B.DoubleHashTC)});
 
   // data Bool = False | True.
-  BoolTC = makeTyCon(sym("Bool"), typeKind(), liftedRep());
-  FalseDC = makeDataCon(sym("False"), BoolTC, {}, {}, {});
-  TrueDC = makeDataCon(sym("True"), BoolTC, {}, {}, {});
+  TyCon *Bool = makeTyCon(sym("Bool"), typeKind(), liftedRep());
+  B.BoolTC = Bool;
+  B.FalseDC = makeDataCon(sym("False"), Bool, {}, {}, {});
+  B.TrueDC = makeDataCon(sym("True"), Bool, {}, {}, {});
 
   // data Unit = Unit.
-  UnitTC = makeTyCon(sym("Unit"), typeKind(), liftedRep());
-  UnitDC = makeDataCon(sym("Unit"), UnitTC, {}, {}, {});
+  TyCon *Unit = makeTyCon(sym("Unit"), typeKind(), liftedRep());
+  B.UnitTC = Unit;
+  B.UnitDC = makeDataCon(sym("Unit"), Unit, {}, {}, {});
 
   // Materialize every lazily-cached singleton now, while the context is
-  // still private to one thread. After compilation a context may be read
-  // (and allocated into) by many Executors concurrently; these caches
-  // must never be first-written then.
+  // still private to one thread: children copy them, and nothing may
+  // write the prelude once it is shared.
   for (size_t I = 0; I <= size_t(RepCtor::Addr); ++I)
     (void)repAtom(RepCtor(I));
   (void)repKind();
@@ -54,10 +68,10 @@ CoreContext::CoreContext() {
 const RepTy *CoreContext::repAtom(RepCtor Ctor) {
   assert(Ctor != RepCtor::Tuple && Ctor != RepCtor::Sum);
   size_t I = size_t(Ctor);
-  if (!RepAtoms[I])
-    RepAtoms[I] =
+  if (!Builtin.RepAtoms[I])
+    Builtin.RepAtoms[I] =
         Mem.create<RepTy>(RepTy(RepTy::Tag::Atom, Symbol(), 0, Ctor, {}));
-  return RepAtoms[I];
+  return Builtin.RepAtoms[I];
 }
 
 const RepTy *CoreContext::repVar(Symbol Name) {
@@ -153,10 +167,10 @@ const Kind *CoreContext::kindTYPE(const RepTy *R) {
 }
 
 const Kind *CoreContext::repKind() {
-  if (!RepKindSingleton)
-    RepKindSingleton =
+  if (!Builtin.RepKindSingleton)
+    Builtin.RepKindSingleton =
         Mem.create<Kind>(Kind(Kind::Tag::Rep, nullptr, nullptr, nullptr));
-  return RepKindSingleton;
+  return Builtin.RepKindSingleton;
 }
 
 const Kind *CoreContext::kindArrow(const Kind *Param, const Kind *Result) {
@@ -294,7 +308,10 @@ const DataCon *CoreContext::makeDataCon(Symbol Name, TyCon *Parent,
   return DataCons.back().get();
 }
 
-TyCon *CoreContext::lookupTyCon(Symbol Name) const {
+const TyCon *CoreContext::lookupTyCon(Symbol Name) const {
+  if (Parent)
+    if (const TyCon *TC = Parent->lookupTyCon(Name))
+      return TC;
   for (const auto &TC : TyCons)
     if (TC->name() == Name)
       return TC.get();
@@ -302,6 +319,9 @@ TyCon *CoreContext::lookupTyCon(Symbol Name) const {
 }
 
 const DataCon *CoreContext::lookupDataCon(Symbol Name) const {
+  if (Parent)
+    if (const DataCon *DC = Parent->lookupDataCon(Name))
+      return DC;
   for (const auto &DC : DataCons)
     if (DC->name() == Name)
       return DC.get();
@@ -309,15 +329,15 @@ const DataCon *CoreContext::lookupDataCon(Symbol Name) const {
 }
 
 const Type *CoreContext::errorType() {
-  if (ErrorTypeCache)
-    return ErrorTypeCache;
+  if (Builtin.ErrorTypeCache)
+    return Builtin.ErrorTypeCache;
   Symbol R = sym("r");
   Symbol A = sym("a");
   const Kind *KA = kindTYPE(repVar(R));
-  ErrorTypeCache = forAllTy(
+  Builtin.ErrorTypeCache = forAllTy(
       R, repKind(),
       forAllTy(A, KA, funTy(stringTy(), varTy(A, KA))));
-  return ErrorTypeCache;
+  return Builtin.ErrorTypeCache;
 }
 
 //===----------------------------------------------------------------------===//

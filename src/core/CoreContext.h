@@ -13,6 +13,12 @@
 /// boxed wrappers `data Int = I# Int#` etc. (Section 2.1: "GHC does not
 /// treat them specially"), and `error`'s levity-polymorphic type.
 ///
+/// Every context is a child of the one prelude context (Prelude.h), which
+/// holds that built-in environment and the builtin globals, built once per
+/// process and frozen. A child resolves the prelude's names to the
+/// prelude's Symbols, tycons and datacons, and allocates, interns and
+/// solves metavariables only in itself.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LEVITY_CORE_CORECONTEXT_H
@@ -44,6 +50,7 @@ struct RepMetaCell {
 
 class CoreContext {
 public:
+  /// A fresh context, a child of the process's prelude context.
   CoreContext();
   CoreContext(const CoreContext &) = delete;
   CoreContext &operator=(const CoreContext &) = delete;
@@ -147,35 +154,38 @@ public:
                              std::vector<const Kind *> UnivKinds,
                              std::vector<const Type *> Fields);
 
-  TyCon *lookupTyCon(Symbol Name) const;
+  /// Looks in the parent (prelude) context first, then in this one.
+  const TyCon *lookupTyCon(Symbol Name) const;
   const DataCon *lookupDataCon(Symbol Name) const;
 
-  // Builtins.
-  TyCon *intHashTyCon() const { return IntHashTC; }
-  TyCon *wordHashTyCon() const { return WordHashTC; }
-  TyCon *floatHashTyCon() const { return FloatHashTC; }
-  TyCon *doubleHashTyCon() const { return DoubleHashTC; }
-  TyCon *stringTyCon() const { return StringTC; }
-  TyCon *intTyCon() const { return IntTC; }
-  TyCon *doubleTyCon() const { return DoubleTC; }
-  TyCon *boolTyCon() const { return BoolTC; }
-  TyCon *unitTyCon() const { return UnitTC; }
+  // Builtins (the prelude's, shared by every context).
+  const TyCon *intHashTyCon() const { return Builtin.IntHashTC; }
+  const TyCon *wordHashTyCon() const { return Builtin.WordHashTC; }
+  const TyCon *floatHashTyCon() const { return Builtin.FloatHashTC; }
+  const TyCon *doubleHashTyCon() const { return Builtin.DoubleHashTC; }
+  const TyCon *stringTyCon() const { return Builtin.StringTC; }
+  const TyCon *intTyCon() const { return Builtin.IntTC; }
+  const TyCon *doubleTyCon() const { return Builtin.DoubleTC; }
+  const TyCon *boolTyCon() const { return Builtin.BoolTC; }
+  const TyCon *unitTyCon() const { return Builtin.UnitTC; }
 
-  const DataCon *iHashCon() const { return IHashDC; } ///< I# :: Int# -> Int
-  const DataCon *dHashCon() const { return DHashDC; } ///< D# :: Double#->Double
-  const DataCon *trueCon() const { return TrueDC; }
-  const DataCon *falseCon() const { return FalseDC; }
-  const DataCon *unitCon() const { return UnitDC; }
+  /// I# :: Int# -> Int.
+  const DataCon *iHashCon() const { return Builtin.IHashDC; }
+  /// D# :: Double# -> Double.
+  const DataCon *dHashCon() const { return Builtin.DHashDC; }
+  const DataCon *trueCon() const { return Builtin.TrueDC; }
+  const DataCon *falseCon() const { return Builtin.FalseDC; }
+  const DataCon *unitCon() const { return Builtin.UnitDC; }
 
-  const Type *intHashTy() { return conTy(IntHashTC); }
-  const Type *doubleHashTy() { return conTy(DoubleHashTC); }
-  const Type *floatHashTy() { return conTy(FloatHashTC); }
-  const Type *wordHashTy() { return conTy(WordHashTC); }
-  const Type *stringTy() { return conTy(StringTC); }
-  const Type *intTy() { return conTy(IntTC); }
-  const Type *doubleTy() { return conTy(DoubleTC); }
-  const Type *boolTy() { return conTy(BoolTC); }
-  const Type *unitTy() { return conTy(UnitTC); }
+  const Type *intHashTy() { return conTy(Builtin.IntHashTC); }
+  const Type *doubleHashTy() { return conTy(Builtin.DoubleHashTC); }
+  const Type *floatHashTy() { return conTy(Builtin.FloatHashTC); }
+  const Type *wordHashTy() { return conTy(Builtin.WordHashTC); }
+  const Type *stringTy() { return conTy(Builtin.StringTC); }
+  const Type *intTy() { return conTy(Builtin.IntTC); }
+  const Type *doubleTy() { return conTy(Builtin.DoubleTC); }
+  const Type *boolTy() { return conTy(Builtin.BoolTC); }
+  const Type *unitTy() { return conTy(Builtin.UnitTC); }
 
   /// error :: ∀(r::Rep). ∀(a::TYPE r). String → a (Section 4.3).
   const Type *errorType();
@@ -248,11 +258,14 @@ public:
   Arena &arena() { return Mem; }
 
 private:
+  friend class Prelude;
+  /// The prelude's own context when \p Parent is null (it builds the
+  /// built-in tycons and datacons), else a child of the frozen \p Parent.
+  explicit CoreContext(const CoreContext *Parent);
+
+  const CoreContext *Parent;
   Arena Mem;
   SymbolTable Symbols;
-
-  const RepTy *RepAtoms[size_t(RepCtor::Addr) + 1] = {};
-  const Kind *RepKindSingleton = nullptr;
 
   std::vector<TypeMetaCell> TypeMetas;
   std::vector<RepMetaCell> RepMetas;
@@ -260,12 +273,19 @@ private:
   std::vector<std::unique_ptr<TyCon>> TyCons;
   std::vector<std::unique_ptr<DataCon>> DataCons;
 
-  TyCon *IntHashTC = nullptr, *WordHashTC = nullptr, *FloatHashTC = nullptr,
-        *DoubleHashTC = nullptr, *StringTC = nullptr, *IntTC = nullptr,
-        *DoubleTC = nullptr, *BoolTC = nullptr, *UnitTC = nullptr;
-  const DataCon *IHashDC = nullptr, *DHashDC = nullptr, *TrueDC = nullptr,
-                *FalseDC = nullptr, *UnitDC = nullptr;
-  const Type *ErrorTypeCache = nullptr;
+  /// The built-in tycons, datacons and singletons: made by the prelude's
+  /// context, copied into each child.
+  struct BuiltinEnv {
+    const RepTy *RepAtoms[size_t(RepCtor::Addr) + 1] = {};
+    const Kind *RepKindSingleton = nullptr;
+    const TyCon *IntHashTC = nullptr, *WordHashTC = nullptr,
+                *FloatHashTC = nullptr, *DoubleHashTC = nullptr,
+                *StringTC = nullptr, *IntTC = nullptr, *DoubleTC = nullptr,
+                *BoolTC = nullptr, *UnitTC = nullptr;
+    const DataCon *IHashDC = nullptr, *DHashDC = nullptr,
+                  *TrueDC = nullptr, *FalseDC = nullptr, *UnitDC = nullptr;
+    const Type *ErrorTypeCache = nullptr;
+  } Builtin;
 };
 
 //===----------------------------------------------------------------------===//

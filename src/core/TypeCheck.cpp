@@ -439,3 +439,153 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
   assert(false && "unknown expr tag");
   return err("unknown expr tag");
 }
+
+//===----------------------------------------------------------------------===//
+// Strictness fix-up
+//===----------------------------------------------------------------------===//
+
+void CoreChecker::fixStrictness(CoreEnv &Env, const Expr *E) {
+  switch (E->tag()) {
+  case Expr::Tag::Var:
+  case Expr::Tag::Lit:
+    return;
+  case Expr::Tag::App: {
+    const auto *A = cast<AppExpr>(E);
+    fixStrictness(Env, A->fn());
+    fixStrictness(Env, A->arg());
+    CheckStrictnessBits = false;
+    Result<const Type *> ArgTy = typeOf(Env, A->arg());
+    CheckStrictnessBits = true;
+    if (ArgTy) {
+      Result<const Kind *> K = kindOf(Env, *ArgTy);
+      if (K && isConcreteValueKind(*K)) {
+        const RepTy *R = C.zonkRep(C.zonkKind(*K)->rep());
+        bool Lifted = R->tag() == RepTy::Tag::Atom &&
+                      R->atom() == RepCtor::Lifted;
+        A->setStrictArg(!Lifted);
+      }
+    }
+    return;
+  }
+  case Expr::Tag::TyApp:
+    fixStrictness(Env, cast<TyAppExpr>(E)->fn());
+    return;
+  case Expr::Tag::Lam: {
+    const auto *L = cast<LamExpr>(E);
+    Env.pushTerm(L->var(), L->varType());
+    fixStrictness(Env, L->body());
+    Env.popTerm();
+    return;
+  }
+  case Expr::Tag::TyLam: {
+    const auto *L = cast<TyLamExpr>(E);
+    Env.pushTypeVar(L->var(), L->varKind());
+    fixStrictness(Env, L->body());
+    Env.popTypeVar();
+    return;
+  }
+  case Expr::Tag::Let: {
+    const auto *L = cast<LetExpr>(E);
+    fixStrictness(Env, L->rhs());
+    Result<const Kind *> K = kindOf(Env, L->varType());
+    if (K && isConcreteValueKind(*K)) {
+      const RepTy *R = C.zonkRep(C.zonkKind(*K)->rep());
+      bool Lifted = R->tag() == RepTy::Tag::Atom &&
+                    R->atom() == RepCtor::Lifted;
+      L->setStrict(!Lifted);
+    }
+    Env.pushTerm(L->var(), L->varType());
+    fixStrictness(Env, L->body());
+    Env.popTerm();
+    return;
+  }
+  case Expr::Tag::LetRec: {
+    const auto *L = cast<LetRecExpr>(E);
+    for (const RecBinding &B : L->bindings())
+      Env.pushTerm(B.Var, B.VarTy);
+    for (const RecBinding &B : L->bindings())
+      fixStrictness(Env, B.Rhs);
+    fixStrictness(Env, L->body());
+    Env.popTerms(L->bindings().size());
+    return;
+  }
+  case Expr::Tag::Case: {
+    const auto *Cs = cast<CaseExpr>(E);
+    fixStrictness(Env, Cs->scrut());
+    CheckStrictnessBits = false;
+    Result<const Type *> ScrutTy = typeOf(Env, Cs->scrut());
+    CheckStrictnessBits = true;
+    for (const Alt &A : Cs->alts()) {
+      size_t Pushed = 0;
+      if (A.Kind == Alt::AltKind::ConPat && ScrutTy) {
+        const Type *Head = C.zonkType(*ScrutTy);
+        std::vector<const Type *> TyArgs;
+        while (const auto *App = dyn_cast<AppType>(Head)) {
+          TyArgs.insert(TyArgs.begin(), App->arg());
+          Head = App->fn();
+        }
+        for (size_t I = 0; I != A.Binders.size(); ++I) {
+          const Type *FieldTy = A.Con->fields()[I];
+          for (size_t U = 0;
+               U != A.Con->univs().size() && U != TyArgs.size(); ++U)
+            FieldTy = substType(C, FieldTy, A.Con->univs()[U], TyArgs[U]);
+          Env.pushTerm(A.Binders[I], FieldTy);
+          ++Pushed;
+        }
+      } else if (A.Kind == Alt::AltKind::TuplePat && ScrutTy) {
+        if (const auto *UT =
+                dyn_cast<UnboxedTupleType>(C.zonkType(*ScrutTy))) {
+          for (size_t I = 0;
+               I != A.Binders.size() && I != UT->elems().size(); ++I) {
+            Env.pushTerm(A.Binders[I], UT->elems()[I]);
+            ++Pushed;
+          }
+        }
+      }
+      fixStrictness(Env, A.Rhs);
+      Env.popTerms(Pushed);
+    }
+    return;
+  }
+  case Expr::Tag::Con: {
+    for (const Expr *A : cast<ConExpr>(E)->args())
+      fixStrictness(Env, A);
+    return;
+  }
+  case Expr::Tag::Prim: {
+    for (const Expr *A : cast<PrimOpExpr>(E)->args())
+      fixStrictness(Env, A);
+    return;
+  }
+  case Expr::Tag::UnboxedTuple: {
+    for (const Expr *El : cast<UnboxedTupleExpr>(E)->elems())
+      fixStrictness(Env, El);
+    return;
+  }
+  case Expr::Tag::Error:
+    fixStrictness(Env, cast<ErrorExpr>(E)->message());
+    return;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Linting a top-level binding
+//===----------------------------------------------------------------------===//
+
+bool CoreChecker::lint(CoreEnv &Env, const TopBinding &B,
+                       DiagnosticEngine &Diags) {
+  Result<const Type *> T = typeOf(Env, B.Rhs);
+  if (!T) {
+    Diags.error(DiagCode::Internal, "core lint failed for '" +
+                                        std::string(B.Name.str()) +
+                                        "': " + T.error());
+    return false;
+  }
+  if (typeEqual(C.zonkType(*T), C.zonkType(B.Ty)))
+    return true;
+  Diags.error(DiagCode::Internal,
+              "core lint type mismatch for '" + std::string(B.Name.str()) +
+                  "': " + C.zonkType(*T)->str() + " vs " +
+                  C.zonkType(B.Ty)->str());
+  return false;
+}

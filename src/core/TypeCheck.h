@@ -19,6 +19,8 @@
 #define LEVITY_CORE_TYPECHECK_H
 
 #include "core/CoreContext.h"
+#include "core/Program.h"
+#include "support/Diagnostics.h"
 #include "support/Result.h"
 
 #include <unordered_map>
@@ -84,10 +86,15 @@ public:
   /// for binder/argument kinds specifically).
   bool isConcreteValueKind(const Kind *K);
 
-  /// Disables the App strictness-bit consistency check (used by the
-  /// elaborator's post-inference fix-up pass, which runs typeOf while
-  /// the bits are still provisional).
-  void setCheckStrictnessBits(bool On) { CheckStrictnessBits = On; }
+  /// Lints top-level binding \p B: its right-hand side must type-check
+  /// at its declared type. Reports a failure into \p Diags as an
+  /// internal error. \returns true if clean.
+  bool lint(CoreEnv &Env, const TopBinding &B, DiagnosticEngine &Diags);
+
+  /// The post-inference fix-up: sets each App/Let strictness bit from
+  /// the zonked kind of the argument or bound variable. Provisional bits
+  /// are not checked while it runs.
+  void fixStrictness(CoreEnv &Env, const Expr *E);
 
 private:
   CoreContext &C;

@@ -157,23 +157,18 @@ std::string Type::str() const {
 
 namespace {
 
+/// The binder pairs of the foralls entered so far, outermost first. A
+/// variable pair is equal when both name the same binder level: the
+/// innermost pair binding either side must bind both. Two free variables
+/// are equal when they are the same name.
 struct TyAlphaEnv {
-  std::unordered_map<Symbol, Symbol, SymbolHash> AtoB;
-  std::unordered_map<Symbol, Symbol, SymbolHash> BtoA;
-
-  void bind(Symbol A, Symbol B) {
-    AtoB[A] = B;
-    BtoA[B] = A;
-  }
+  std::vector<std::pair<Symbol, Symbol>> Bound;
 
   bool varsEqual(Symbol A, Symbol B) const {
-    auto ItA = AtoB.find(A);
-    auto ItB = BtoA.find(B);
-    if (ItA == AtoB.end() && ItB == BtoA.end())
-      return A == B;
-    if (ItA == AtoB.end() || ItB == BtoA.end())
-      return false;
-    return ItA->second == B && ItB->second == A;
+    for (auto It = Bound.rbegin(), E = Bound.rend(); It != E; ++It)
+      if (It->first == A || It->second == B)
+        return It->first == A && It->second == B;
+    return A == B;
   }
 };
 
@@ -246,9 +241,10 @@ bool typeEqualIn(const Type *A, const Type *B, TyAlphaEnv &Env) {
     const auto *BF = cast<ForAllType>(B);
     if (!kindEqualIn(AF->varKind(), BF->varKind(), Env))
       return false;
-    TyAlphaEnv Inner = Env;
-    Inner.bind(AF->var(), BF->var());
-    return typeEqualIn(AF->body(), BF->body(), Inner);
+    Env.Bound.push_back({AF->var(), BF->var()});
+    bool Equal = typeEqualIn(AF->body(), BF->body(), Env);
+    Env.Bound.pop_back();
+    return Equal;
   }
   case Type::Tag::UnboxedTuple: {
     const auto *AU = cast<UnboxedTupleType>(A);

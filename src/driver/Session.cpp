@@ -95,7 +95,12 @@ runFrontEndStages(const std::string &Source, DiagnosticEngine &Diags,
   if (Diags.hasErrors())
     return std::nullopt;
 
-  return Timed("elaborate+check", [&] { return Elab.run(Module); });
+  std::optional<surface::ElabOutput> Out =
+      Timed("elaborate", [&] { return Elab.elaborate(Module); });
+  if (!Out || !Timed("lint", [&] { return Elab.lint(*Out); }) ||
+      !Timed("levity-check", [&] { return Elab.levityCheck(*Out); }))
+    return std::nullopt;
+  return Out;
 }
 
 } // namespace

@@ -292,7 +292,8 @@ public:
   /// zero front-end, lowering, *or bytecode-compilation* work.
   bool hydratedBytecode() const { return Hydrated && vmProgram().Module; }
 
-  /// Per-stage wall-clock timings, in pipeline order. For hydrated
+  /// Per-stage wall-clock timings, in pipeline order: lex, parse,
+  /// elaborate, lint and levity-check for a source compile. For hydrated
   /// compilations: the *original* build's stages (restored from the
   /// artifact) followed by this process's "hydrate" stage.
   const std::vector<StageTiming> &timings() const { return Timings; }
@@ -477,7 +478,7 @@ public:
   Session(const Session &) = delete;
   Session &operator=(const Session &) = delete;
 
-  /// Compiles surface source through lex → parse → elaborate →
+  /// Compiles surface source through lex → parse → elaborate → lint →
   /// levity-check. Identical source (by hash, verified by exact compare)
   /// returns the cached Compilation.
   std::shared_ptr<Compilation> compile(std::string_view Source);

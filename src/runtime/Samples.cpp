@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Samples.h"
+#include "core/Prelude.h"
 
 using namespace levity;
 using namespace levity::runtime;
@@ -38,32 +39,6 @@ const Expr *box(CoreContext &C, const Expr *E) {
 }
 
 } // namespace
-
-TopBinding runtime::buildPlusInt(CoreContext &C) {
-  // plusInt = \a:Int. \b:Int. case a of I# x ->
-  //             case b of I# y -> I# (x +# y)
-  Symbol A = C.sym("a"), B = C.sym("b"), X = C.sym("x"), Y = C.sym("y");
-  const Expr *Sum =
-      C.primOp(PrimOp::AddI, {C.var(X), C.var(Y)});
-  const Expr *Body = caseInt(
-      C, C.var(A), X, C.intTy(),
-      caseInt(C, C.var(B), Y, C.intTy(), box(C, Sum)));
-  const Expr *Fn = C.lam(A, C.intTy(), C.lam(B, C.intTy(), Body));
-  const Type *Ty = C.funTy(C.intTy(), C.funTy(C.intTy(), C.intTy()));
-  return {C.sym("plusInt"), Ty, Fn};
-}
-
-TopBinding runtime::buildMinusInt(CoreContext &C) {
-  Symbol A = C.sym("a"), B = C.sym("b"), X = C.sym("x"), Y = C.sym("y");
-  const Expr *Diff =
-      C.primOp(PrimOp::SubI, {C.var(X), C.var(Y)});
-  const Expr *Body = caseInt(
-      C, C.var(A), X, C.intTy(),
-      caseInt(C, C.var(B), Y, C.intTy(), box(C, Diff)));
-  const Expr *Fn = C.lam(A, C.intTy(), C.lam(B, C.intTy(), Body));
-  const Type *Ty = C.funTy(C.intTy(), C.funTy(C.intTy(), C.intTy()));
-  return {C.sym("minusInt"), Ty, Fn};
-}
 
 TopBinding runtime::buildSumToBoxed(CoreContext &C) {
   // sumTo = \acc:Int. \n:Int. case n of I# n# ->
@@ -183,9 +158,10 @@ TopBinding runtime::buildDivModBoxed(CoreContext &C) {
 }
 
 CoreProgram runtime::buildSampleProgram(CoreContext &C) {
+  // plusInt and minusInt are the prelude's (Section 2.1's unbox/rebox).
   CoreProgram P;
-  P.Bindings.push_back(buildPlusInt(C));
-  P.Bindings.push_back(buildMinusInt(C));
+  P.Bindings.push_back(*Prelude::get().lookup("plusInt"));
+  P.Bindings.push_back(*Prelude::get().lookup("minusInt"));
   P.Bindings.push_back(buildSumToBoxed(C));
   P.Bindings.push_back(buildSumToUnboxed(C));
   P.Bindings.push_back(buildSumToDouble(C));

@@ -31,11 +31,8 @@ namespace runtime {
 /// by the boxed divMod variant). Idempotent per context.
 const core::DataCon *pairDataCon(core::CoreContext &C);
 
-/// plusInt, minusInt :: Int -> Int -> Int (Section 2.1's unbox/rebox).
-core::TopBinding buildPlusInt(core::CoreContext &C);
-core::TopBinding buildMinusInt(core::CoreContext &C);
-
-/// sumTo :: Int -> Int -> Int, the boxed loop. Requires plusInt/minusInt.
+/// sumTo :: Int -> Int -> Int, the boxed loop. Requires the prelude's
+/// plusInt and minusInt.
 core::TopBinding buildSumToBoxed(core::CoreContext &C);
 
 /// sumTo# :: Int# -> Int# -> Int#, the unboxed loop.
@@ -50,7 +47,8 @@ core::TopBinding buildDivModUnboxed(core::CoreContext &C);
 /// divModBoxed :: Int -> Int -> Pair: heap-allocating multi-return.
 core::TopBinding buildDivModBoxed(core::CoreContext &C);
 
-/// A complete program with all of the above.
+/// A complete program with all of the above, plus the prelude's plusInt
+/// and minusInt.
 core::CoreProgram buildSampleProgram(core::CoreContext &C);
 
 /// Convenience: the expression `sumTo (I# 0#) (I# n#)`.

@@ -68,14 +68,29 @@ struct SymbolHash {
 /// synchronized: interning and freshening may be called from many threads
 /// (e.g. concurrent abstract-machine runs sharing one context's name
 /// supply). Symbols themselves are immutable values and need no locking.
+///
+/// A table may be a child of a frozen parent table: names the parent
+/// holds resolve to the parent's Symbols (a lock-free read, since nothing
+/// writes a frozen table), fresh names avoid them, and the child's Seq
+/// numbers and fresh counter continue where the parent's stopped. The
+/// parent must outlive the child.
 class SymbolTable {
 public:
-  SymbolTable() = default;
+  explicit SymbolTable(const SymbolTable *Parent = nullptr)
+      : Parent(Parent) {
+    if (!Parent)
+      return;
+    assert(Parent->Frozen && "a parent table must be frozen");
+    FirstSeq = Parent->FirstSeq + static_cast<uint32_t>(Parent->Map.size());
+    FreshCounter = Parent->FreshCounter;
+  }
   SymbolTable(const SymbolTable &) = delete;
   SymbolTable &operator=(const SymbolTable &) = delete;
 
   /// Interns \p Name, returning the unique Symbol for it.
   Symbol intern(std::string_view Name) {
+    if (const Symbol *S = findInParents(Name))
+      return *S;
     std::lock_guard<std::mutex> Lock(Mutex);
     return internLocked(Name);
   }
@@ -86,30 +101,51 @@ public:
   Symbol fresh(std::string_view Base) {
     std::lock_guard<std::mutex> Lock(Mutex);
     std::string Candidate(Base);
-    while (Map.count(Candidate))
+    while (findInParents(Candidate) || Map.count(Candidate))
       Candidate = std::string(Base) + "'" + std::to_string(FreshCounter++);
     return internLocked(Candidate);
   }
 
+  /// Forbids every later write, so that child tables may read this one
+  /// without locking.
+  void freeze() {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Frozen = true;
+  }
+
+  /// The number of names this table itself holds (its parent's excluded).
   size_t size() const {
     std::lock_guard<std::mutex> Lock(Mutex);
     return Map.size();
   }
 
 private:
+  const Symbol *findInParents(std::string_view Name) const {
+    for (const SymbolTable *P = Parent; P; P = P->Parent) {
+      auto It = P->Map.find(Name);
+      if (It != P->Map.end())
+        return &It->second;
+    }
+    return nullptr;
+  }
+
   Symbol internLocked(std::string_view Name) {
     auto It = Map.find(Name);
     if (It != Map.end())
       return It->second;
+    assert(!Frozen && "interning into a frozen symbol table");
     char *Mem = static_cast<char *>(Strings.allocate(Name.size() + 1, 1));
     std::memcpy(Mem, Name.data(), Name.size());
     Mem[Name.size()] = '\0';
     Symbol S(Mem, static_cast<uint32_t>(Name.size()),
-             static_cast<uint32_t>(Map.size()));
+             FirstSeq + static_cast<uint32_t>(Map.size()));
     Map.emplace(std::string_view(Mem, Name.size()), S);
     return S;
   }
 
+  const SymbolTable *const Parent;
+  uint32_t FirstSeq = 0;
+  bool Frozen = false;
   mutable std::mutex Mutex;
   Arena Strings;
   std::unordered_map<std::string_view, Symbol> Map;

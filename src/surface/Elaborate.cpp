@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "surface/Elaborate.h"
+#include "core/Prelude.h"
 
 #include <algorithm>
 #include <unordered_set>
@@ -211,7 +212,7 @@ const Type *Elaborator::convertType(const SType &T) {
   switch (T.T) {
   case SType::Tag::Con: {
     Symbol Name = C.sym(T.Name);
-    if (TyCon *TC = C.lookupTyCon(Name))
+    if (const TyCon *TC = C.lookupTyCon(Name))
       return C.conTy(TC);
     errorAt(T.Loc, DiagCode::ScopeError,
             "type constructor '" + T.Name + "' is not in scope");
@@ -252,7 +253,7 @@ const Type *Elaborator::convertType(const SType &T) {
     const Type *E = convertType(*T.Body);
     if (!E)
       return nullptr;
-    const Type *App = C.appTy(C.conTy(ListTC), E);
+    const Type *App = C.appTy(C.conTy(Prelude::get().listTyCon()), E);
     kindOfUnify(App);
     return App;
   }
@@ -261,7 +262,8 @@ const Type *Elaborator::convertType(const SType &T) {
     const Type *B = convertType(*T.Arg);
     if (!A || !B)
       return nullptr;
-    const Type *App = C.appTy(C.appTy(C.conTy(PairTC), A), B);
+    const Type *Pair = C.conTy(Prelude::get().pairTyCon());
+    const Type *App = C.appTy(C.appTy(Pair, A), B);
     kindOfUnify(App);
     return App;
   }

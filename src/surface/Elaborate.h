@@ -78,7 +78,10 @@ struct InstanceInfo {
 
 /// The result of elaborating a module.
 struct ElabOutput {
-  core::CoreProgram Program; ///< Builtins + instance methods + bindings.
+  /// The prelude's shared builtin globals, then the module's instance
+  /// methods and bindings.
+  core::CoreProgram Program;
+  size_t NumPreludeBindings = 0; ///< Length of that prelude prefix.
   std::vector<Symbol> UserBindings; ///< Names defined by the module.
 };
 
@@ -87,9 +90,21 @@ public:
   Elaborator(core::CoreContext &C, DiagnosticEngine &Diags)
       : C(C), Diags(Diags), Checker(C), Unify(C, Diags) {}
 
-  /// Elaborates a whole module. Returns nullopt if any error was
-  /// reported (diagnostics carry the details).
+  /// Elaborates a whole module: elaborate(), then lint(), then
+  /// levityCheck(). Returns nullopt if any error was reported
+  /// (diagnostics carry the details).
   std::optional<ElabOutput> run(const SModule &M);
+
+  /// The three stages run() chains, for callers that time them apart.
+  /// elaborate() infers and translates the module (passes 1-5) and fixes
+  /// the strictness bits of the module's bindings; lint() runs Core Lint
+  /// and levityCheck() the Section 5.1 checks (GHC's desugarer-time pass,
+  /// Section 8.2) over them. The prelude's bindings were checked once,
+  /// when it was built. lint() and levityCheck() take the last
+  /// elaborate()'s output and return false on an error.
+  std::optional<ElabOutput> elaborate(const SModule &M);
+  bool lint(const ElabOutput &Out);
+  bool levityCheck(const ElabOutput &Out);
 
   /// The classes declared by the last run (plus none built in).
   const std::vector<ClassInfo> &classes() const { return Classes; }
@@ -190,7 +205,6 @@ private:
   // Declarations
   //===------------------------------------------------------------------===//
 
-  void installBuiltins(core::CoreProgram &P);
   void elabDataDecl(const SDataDecl &D);
   void elabClassDecl(const SClassDecl &D);
   void elabInstanceDecl(const SInstanceDecl &D, core::CoreProgram &P);
@@ -219,9 +233,6 @@ private:
   Typed applyOne(Typed Fn, const SExpr &Arg, SourceLoc Loc);
   Typed elabCase(const SExpr &E);
   const core::Expr *solveWanteds(const core::Expr *Body, size_t FirstWanted);
-
-  /// Post-inference pass: set App/Let strictness bits from zonked kinds.
-  void fixStrictness(core::CoreEnv &Env, const core::Expr *E);
 
   bool errorAt(SourceLoc Loc, DiagCode Code, std::string Msg) {
     Diags.error(Code, std::move(Msg), Loc);
@@ -252,8 +263,8 @@ private:
   std::unordered_map<Symbol, GlobalInfo, SymbolHash> Globals;
   std::unordered_map<Symbol, std::pair<int, int>, SymbolHash>
       MethodIndex; ///< method name -> (class idx, method idx).
-  core::TyCon *ListTC = nullptr;
-  core::TyCon *PairTC = nullptr;
+  /// Every global's type, for the checks after elaborate().
+  core::CoreEnv TopEnv;
 
   /// Tolerant conversion for class-method signatures and the Section 8.1
   /// analysis: constraints inside method types are skipped (assumed to

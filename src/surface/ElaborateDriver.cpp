@@ -1,156 +1,16 @@
-//===- ElaborateDriver.cpp - Module driver, builtins, analysis ------------===//
+//===- ElaborateDriver.cpp - Module driver and analysis -------------------===//
 //
 // Part of the levity project: a C++ reproduction of "Levity Polymorphism"
 // (Eisenberg & Peyton Jones, PLDI 2017).
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/Samples.h"
+#include "core/Prelude.h"
 #include "surface/Elaborate.h"
 
 using namespace levity;
 using namespace levity::surface;
 using namespace levity::core;
-
-//===----------------------------------------------------------------------===//
-// Builtins
-//===----------------------------------------------------------------------===//
-
-void Elaborator::installBuiltins(CoreProgram &P) {
-  // Type-level: List and Pair for signature sugar.
-  if (!ListTC)
-    ListTC = C.makeTyCon(C.sym("List"),
-                         C.kindArrow(C.typeKind(), C.typeKind()),
-                         C.liftedRep());
-  if (!PairTC)
-    PairTC = C.makeTyCon(
-        C.sym("Pair"),
-        C.kindArrow(C.typeKind(),
-                    C.kindArrow(C.typeKind(), C.typeKind())),
-        C.liftedRep());
-
-  auto Add = [&](TopBinding B) {
-    Globals[B.Name] = {B.Ty, {}};
-    P.Bindings.push_back(B);
-  };
-
-  // Boxed Int arithmetic (Section 2.1's plusInt pattern).
-  Add(runtime::buildPlusInt(C));
-  Add(runtime::buildMinusInt(C));
-
-  const Type *IntT = C.intTy();
-  const Type *IH = C.intHashTy();
-
-  // A binary boxed-Int builder: unbox, apply Op, rebox/result.
-  auto BinInt = [&](const char *Name, PrimOp Op, bool BoolResult) {
-    Symbol A = C.symbols().fresh("a"), B = C.symbols().fresh("b"),
-           X = C.symbols().fresh("x"), Y = C.symbols().fresh("y");
-    const core::Expr *Raw = C.primOp(Op, {C.var(X), C.var(Y)});
-    const core::Expr *Res;
-    const Type *ResTy;
-    if (BoolResult) {
-      Res = C.primOp(PrimOp::IsTrue, {Raw});
-      ResTy = C.boolTy();
-    } else {
-      Res = C.conApp(C.iHashCon(), {}, {&Raw, 1});
-      ResTy = IntT;
-    }
-    Alt AltY;
-    AltY.Kind = Alt::AltKind::ConPat;
-    AltY.Con = C.iHashCon();
-    AltY.Binders = C.arena().copyArray({Y});
-    AltY.Rhs = Res;
-    const core::Expr *InnerCase = C.caseOf(C.var(B), ResTy, {&AltY, 1});
-    Alt AltX;
-    AltX.Kind = Alt::AltKind::ConPat;
-    AltX.Con = C.iHashCon();
-    AltX.Binders = C.arena().copyArray({X});
-    AltX.Rhs = InnerCase;
-    const core::Expr *OuterCase = C.caseOf(C.var(A), ResTy, {&AltX, 1});
-    const core::Expr *Fn = C.lam(A, IntT, C.lam(B, IntT, OuterCase));
-    Add({C.sym(Name), C.funTy(IntT, C.funTy(IntT, ResTy)), Fn});
-    (void)IH;
-  };
-
-  BinInt("timesInt", PrimOp::MulI, false);
-  BinInt("quotInt", PrimOp::QuotI, false);
-  BinInt("remInt", PrimOp::RemI, false);
-  BinInt("eqInt", PrimOp::EqI, true);
-  BinInt("neInt", PrimOp::NeI, true);
-  BinInt("ltInt", PrimOp::LtI, true);
-  BinInt("leInt", PrimOp::LeI, true);
-  BinInt("gtInt", PrimOp::GtI, true);
-  BinInt("geInt", PrimOp::GeI, true);
-
-  // id :: forall a. a -> a.
-  {
-    Symbol A = C.sym("a"), X = C.symbols().fresh("x");
-    const Type *AT = C.varTy(A, C.typeKind());
-    const Type *Ty = C.forAllTy(A, C.typeKind(), C.funTy(AT, AT));
-    const core::Expr *E =
-        C.tyLam(A, C.typeKind(), C.lam(X, AT, C.var(X)));
-    Add({C.sym("id"), Ty, E});
-  }
-
-  // ($) :: forall (r::Rep) a (b::TYPE r). (a -> b) -> a -> b — the
-  // Section 7.2 generalization (result levity-polymorphic; argument
-  // lifted).
-  {
-    Symbol R = C.sym("r$"), A = C.sym("a$"), B = C.sym("b$"),
-           F = C.symbols().fresh("f"), X = C.symbols().fresh("x");
-    const Kind *KB = C.kindTYPE(C.repVar(R));
-    const Type *AT = C.varTy(A, C.typeKind());
-    const Type *BT = C.varTy(B, KB);
-    const Type *Ty = C.forAllTy(
-        R, C.repKind(),
-        C.forAllTy(A, C.typeKind(),
-                   C.forAllTy(B, KB,
-                              C.funTy(C.funTy(AT, BT),
-                                      C.funTy(AT, BT)))));
-    const core::Expr *E = C.tyLam(
-        R, C.repKind(),
-        C.tyLam(A, C.typeKind(),
-                C.tyLam(B, KB,
-                        C.lam(F, C.funTy(AT, BT),
-                              C.lam(X, AT,
-                                    C.app(C.var(F), C.var(X),
-                                          /*Strict=*/false))))));
-    Add({C.sym("$"), Ty, E});
-  }
-
-  // (.) :: forall (r::Rep) a b (c::TYPE r).
-  //          (b -> c) -> (a -> b) -> a -> c (Section 7.2).
-  {
-    Symbol R = C.sym("r."), A = C.sym("a."), B = C.sym("b."),
-           Cv = C.sym("c."), F = C.symbols().fresh("f"),
-           G = C.symbols().fresh("g"), X = C.symbols().fresh("x");
-    const Kind *KC = C.kindTYPE(C.repVar(R));
-    const Type *AT = C.varTy(A, C.typeKind());
-    const Type *BT = C.varTy(B, C.typeKind());
-    const Type *CT = C.varTy(Cv, KC);
-    const Type *Ty = C.forAllTy(
-        R, C.repKind(),
-        C.forAllTy(
-            A, C.typeKind(),
-            C.forAllTy(
-                B, C.typeKind(),
-                C.forAllTy(Cv, KC,
-                           C.funTy(C.funTy(BT, CT),
-                                   C.funTy(C.funTy(AT, BT),
-                                           C.funTy(AT, CT)))))));
-    const core::Expr *Body = C.app(
-        C.var(F), C.app(C.var(G), C.var(X), false), false);
-    const core::Expr *E = C.tyLam(
-        R, C.repKind(),
-        C.tyLam(A, C.typeKind(),
-                C.tyLam(B, C.typeKind(),
-                        C.tyLam(Cv, KC,
-                                C.lam(F, C.funTy(BT, CT),
-                                      C.lam(G, C.funTy(AT, BT),
-                                            C.lam(X, AT, Body)))))));
-    Add({C.sym("."), Ty, E});
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Top-level bindings
@@ -293,11 +153,21 @@ void Elaborator::elabBinding(const SBindDecl &B, const SType *Sig,
 //===----------------------------------------------------------------------===//
 
 std::optional<ElabOutput> Elaborator::run(const SModule &M) {
+  std::optional<ElabOutput> Out = elaborate(M);
+  if (!Out || !lint(*Out) || !levityCheck(*Out))
+    return std::nullopt;
+  return Out;
+}
+
+std::optional<ElabOutput> Elaborator::elaborate(const SModule &M) {
   ElabOutput Out;
   CoreProgram &P = Out.Program;
   size_t Before = Diags.numErrors();
 
-  installBuiltins(P);
+  // The prelude's builtin globals, shared by every compile.
+  std::span<const TopBinding> Builtins = Prelude::get().bindings();
+  for (const TopBinding &B : Builtins)
+    Globals[B.Name] = {B.Ty, {}};
 
   // Pass 1: data types.
   for (const SDecl &D : M.Decls)
@@ -320,10 +190,6 @@ std::optional<ElabOutput> Elaborator::run(const SModule &M) {
     if (D.T != SDecl::Tag::Bind)
       continue;
     Symbol Name = C.sym(D.Bind.Name);
-    if (Globals.count(Name) && !Sigs.count(Name)) {
-      // Redefinition of a builtin is allowed only via a signature of its
-      // own; plain user rebinding of a builtin name shadows it.
-    }
     auto It = Sigs.find(Name);
     if (It != Sigs.end()) {
       std::optional<SigInfo> Info = convertSignature(*It->second);
@@ -335,6 +201,15 @@ std::optional<ElabOutput> Elaborator::run(const SModule &M) {
     }
     Out.UserBindings.push_back(Name);
   }
+
+  // A module's own binding of a builtin's name, with or without a
+  // signature, shadows the builtin: pass 3 rebound its global, and the
+  // program keeps only the module's binding, so that every backend runs
+  // the same one.
+  for (const TopBinding &B : Builtins)
+    if (Globals[B.Name].Ty == B.Ty)
+      P.Bindings.push_back(B);
+  Out.NumPreludeBindings = P.Bindings.size();
 
   // Pass 4: instances (may reference user bindings).
   for (const SDecl &D : M.Decls)
@@ -352,34 +227,31 @@ std::optional<ElabOutput> Elaborator::run(const SModule &M) {
   if (Diags.numErrors() != Before)
     return std::nullopt;
 
-  // Pass 6: post-inference validation — fix strictness bits from solved
-  // kinds, then Core Lint, then the Section 5.1 levity checks (the
-  // "desugarer" pass of Section 8.2).
-  CoreEnv Env;
+  // Post-inference: fix the strictness bits of the module's bindings
+  // from their solved kinds.
+  TopEnv = CoreEnv();
   for (const TopBinding &B : P.Bindings)
-    Env.addGlobal(B.Name, B.Ty);
-  LevityChecker LC(C, Diags);
-  for (const TopBinding &B : P.Bindings) {
-    fixStrictness(Env, B.Rhs);
-    Result<const Type *> T = Checker.typeOf(Env, B.Rhs);
-    if (!T) {
-      Diags.error(DiagCode::Internal,
-                  "core lint failed for '" + std::string(B.Name.str()) +
-                      "': " + T.error());
-      continue;
-    }
-    if (!typeEqual(C.zonkType(*T), C.zonkType(B.Ty)))
-      Diags.error(DiagCode::Internal,
-                  "core lint type mismatch for '" +
-                      std::string(B.Name.str()) + "': " +
-                      C.zonkType(*T)->str() + " vs " +
-                      C.zonkType(B.Ty)->str());
-    LC.check(Env, B.Rhs);
-  }
-
-  if (Diags.numErrors() != Before)
-    return std::nullopt;
+    TopEnv.addGlobal(B.Name, B.Ty);
+  for (size_t I = Out.NumPreludeBindings; I != P.Bindings.size(); ++I)
+    Checker.fixStrictness(TopEnv, P.Bindings[I].Rhs);
   return Out;
+}
+
+bool Elaborator::lint(const ElabOutput &Out) {
+  std::span<const TopBinding> Bs = Out.Program.Bindings;
+  bool Clean = true;
+  for (const TopBinding &B : Bs.subspan(Out.NumPreludeBindings))
+    Clean &= Checker.lint(TopEnv, B, Diags);
+  return Clean;
+}
+
+bool Elaborator::levityCheck(const ElabOutput &Out) {
+  std::span<const TopBinding> Bs = Out.Program.Bindings;
+  LevityChecker LC(C, Diags);
+  bool Clean = true;
+  for (const TopBinding &B : Bs.subspan(Out.NumPreludeBindings))
+    Clean &= LC.check(TopEnv, B.Rhs);
+  return Clean;
 }
 
 const Type *Elaborator::globalType(std::string_view Name) const {

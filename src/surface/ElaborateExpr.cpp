@@ -5,7 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/Samples.h"
 #include "surface/Elaborate.h"
 
 using namespace levity;
@@ -763,132 +762,4 @@ const core::Expr *Elaborator::solveWanteds(const core::Expr *Body,
   }
   Wanteds.resize(FirstWanted);
   return Body;
-}
-
-//===----------------------------------------------------------------------===//
-// Strictness fix-up
-//===----------------------------------------------------------------------===//
-
-void Elaborator::fixStrictness(CoreEnv &Env, const core::Expr *E) {
-  switch (E->tag()) {
-  case core::Expr::Tag::Var:
-  case core::Expr::Tag::Lit:
-    return;
-  case core::Expr::Tag::App: {
-    const auto *A = cast<AppExpr>(E);
-    fixStrictness(Env, A->fn());
-    fixStrictness(Env, A->arg());
-    Checker.setCheckStrictnessBits(false);
-    Result<const Type *> ArgTy = Checker.typeOf(Env, A->arg());
-    Checker.setCheckStrictnessBits(true);
-    if (ArgTy) {
-      Result<const Kind *> K = Checker.kindOf(Env, *ArgTy);
-      if (K && Checker.isConcreteValueKind(*K)) {
-        const RepTy *R = C.zonkRep(C.zonkKind(*K)->rep());
-        bool Lifted = R->tag() == RepTy::Tag::Atom &&
-                      R->atom() == RepCtor::Lifted;
-        A->setStrictArg(!Lifted);
-      }
-    }
-    return;
-  }
-  case core::Expr::Tag::TyApp:
-    fixStrictness(Env, cast<TyAppExpr>(E)->fn());
-    return;
-  case core::Expr::Tag::Lam: {
-    const auto *L = cast<LamExpr>(E);
-    Env.pushTerm(L->var(), L->varType());
-    fixStrictness(Env, L->body());
-    Env.popTerm();
-    return;
-  }
-  case core::Expr::Tag::TyLam: {
-    const auto *L = cast<TyLamExpr>(E);
-    Env.pushTypeVar(L->var(), L->varKind());
-    fixStrictness(Env, L->body());
-    Env.popTypeVar();
-    return;
-  }
-  case core::Expr::Tag::Let: {
-    const auto *L = cast<LetExpr>(E);
-    fixStrictness(Env, L->rhs());
-    Result<const Kind *> K = Checker.kindOf(Env, L->varType());
-    if (K && Checker.isConcreteValueKind(*K)) {
-      const RepTy *R = C.zonkRep(C.zonkKind(*K)->rep());
-      bool Lifted = R->tag() == RepTy::Tag::Atom &&
-                    R->atom() == RepCtor::Lifted;
-      L->setStrict(!Lifted);
-    }
-    Env.pushTerm(L->var(), L->varType());
-    fixStrictness(Env, L->body());
-    Env.popTerm();
-    return;
-  }
-  case core::Expr::Tag::LetRec: {
-    const auto *L = cast<LetRecExpr>(E);
-    for (const RecBinding &B : L->bindings())
-      Env.pushTerm(B.Var, B.VarTy);
-    for (const RecBinding &B : L->bindings())
-      fixStrictness(Env, B.Rhs);
-    fixStrictness(Env, L->body());
-    Env.popTerms(L->bindings().size());
-    return;
-  }
-  case core::Expr::Tag::Case: {
-    const auto *Cs = cast<CaseExpr>(E);
-    fixStrictness(Env, Cs->scrut());
-    Checker.setCheckStrictnessBits(false);
-    Result<const Type *> ScrutTy = Checker.typeOf(Env, Cs->scrut());
-    Checker.setCheckStrictnessBits(true);
-    for (const Alt &A : Cs->alts()) {
-      size_t Pushed = 0;
-      if (A.Kind == Alt::AltKind::ConPat && ScrutTy) {
-        const Type *Head = C.zonkType(*ScrutTy);
-        std::vector<const Type *> TyArgs;
-        while (const auto *App = dyn_cast<AppType>(Head)) {
-          TyArgs.insert(TyArgs.begin(), App->arg());
-          Head = App->fn();
-        }
-        for (size_t I = 0; I != A.Binders.size(); ++I) {
-          const Type *FieldTy = A.Con->fields()[I];
-          for (size_t U = 0;
-               U != A.Con->univs().size() && U != TyArgs.size(); ++U)
-            FieldTy = substType(C, FieldTy, A.Con->univs()[U], TyArgs[U]);
-          Env.pushTerm(A.Binders[I], FieldTy);
-          ++Pushed;
-        }
-      } else if (A.Kind == Alt::AltKind::TuplePat && ScrutTy) {
-        if (const auto *UT =
-                dyn_cast<UnboxedTupleType>(C.zonkType(*ScrutTy))) {
-          for (size_t I = 0;
-               I != A.Binders.size() && I != UT->elems().size(); ++I) {
-            Env.pushTerm(A.Binders[I], UT->elems()[I]);
-            ++Pushed;
-          }
-        }
-      }
-      fixStrictness(Env, A.Rhs);
-      Env.popTerms(Pushed);
-    }
-    return;
-  }
-  case core::Expr::Tag::Con: {
-    for (const core::Expr *A : cast<ConExpr>(E)->args())
-      fixStrictness(Env, A);
-    return;
-  }
-  case core::Expr::Tag::Prim: {
-    for (const core::Expr *A : cast<PrimOpExpr>(E)->args())
-      fixStrictness(Env, A);
-    return;
-  }
-  case core::Expr::Tag::UnboxedTuple: {
-    for (const core::Expr *El : cast<UnboxedTupleExpr>(E)->elems())
-      fixStrictness(Env, El);
-    return;
-  }
-  case core::Expr::Tag::Error:
-    fixStrictness(Env, cast<ErrorExpr>(E)->message());
-    return;
-  }
 }

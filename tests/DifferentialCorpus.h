@@ -281,6 +281,15 @@ inline constexpr CorpusProgram Corpus[] = {
      "unbox n = case n of { I# h -> h } ;"
      "v = (unbox . succ) (I# 41#)",
      "v", true},
+    // $ and . at an Int# result, beside a module `id` that shadows the
+    // prelude's: every backend must run the module's.
+    {"DollarComposeAtIntHashShadowingId",
+     "unbox :: Int -> Int# ;"
+     "unbox n = case n of { I# h -> h } ;"
+     "id :: Int -> Int ;"
+     "id n = case n of { I# h -> I# (h *# 2#) } ;"
+     "v = (unbox . id) (I# 20#) +# (unbox $ I# 2#)",
+     "v", true},
     {"ErrorAtIntHash", "v = 1# +# error \"levity-polymorphic error\"", "v",
      true},
     {"NumClassAtIntHash", LEVITY_CORPUS_NUM_CLASS "v = 3# + 4#", "v", true},

@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/LevityCheck.h"
+#include "core/Prelude.h"
 #include "core/TypeCheck.h"
 
 #include <gtest/gtest.h>
@@ -173,6 +174,25 @@ TEST_F(CoreKindTest, RepForallAlphaEquality) {
                                  C.funTy(C.stringTy(), C.varTy(A, KA))));
   };
   EXPECT_TRUE(typeEqual(Mk(R), Mk(Q)));
+}
+
+TEST_F(CoreKindTest, AlphaEqualityRespectsShadowing) {
+  // forall a. forall a. a  ==  forall b. forall c. c, but not
+  // forall b. forall c. b: the inner binder shadows the outer one.
+  Symbol A = C.sym("a"), B = C.sym("b"), Cv = C.sym("c");
+  const Kind *K = C.typeKind();
+  auto Mk = [&](Symbol Outer, Symbol Inner, Symbol Body) {
+    return C.forAllTy(Outer, K, C.forAllTy(Inner, K, C.varTy(Body, K)));
+  };
+  EXPECT_TRUE(typeEqual(Mk(A, A, A), Mk(B, Cv, Cv)));
+  EXPECT_FALSE(typeEqual(Mk(A, A, A), Mk(B, Cv, B)));
+  EXPECT_TRUE(typeEqual(Mk(A, B, A), Mk(B, A, B)));
+  EXPECT_FALSE(typeEqual(Mk(A, B, A), Mk(A, B, B)));
+  // A free variable equals only itself, never a bound one.
+  EXPECT_FALSE(typeEqual(C.forAllTy(A, K, C.varTy(B, K)),
+                         C.forAllTy(B, K, C.varTy(B, K))));
+  EXPECT_TRUE(typeEqual(C.forAllTy(A, K, C.varTy(Cv, K)),
+                        C.forAllTy(B, K, C.varTy(Cv, K))));
 }
 
 TEST_F(CoreKindTest, SubstRepVarThroughKinds) {
@@ -361,6 +381,54 @@ TEST_F(CoreLintTest, LetRecRequiresLiftedBinders) {
   Result<const Type *> T = Checker.typeOf(Env, E);
   ASSERT_FALSE(T.ok());
   EXPECT_NE(T.error().find("unlifted"), std::string::npos);
+}
+
+//===--------------------------------------------------------------------===//
+// The prelude
+//===--------------------------------------------------------------------===//
+
+TEST(PreludeTest, BuiltinsPassLintAndTheLevityCheck) {
+  const Prelude &P = Prelude::get();
+  EXPECT_EQ(P.bindings().size(), 14u);
+  EXPECT_TRUE(P.diagnostics().diagnostics().empty())
+      << P.diagnostics().str();
+
+  // Checked again from a child context, the builtins stay clean.
+  CoreContext C;
+  CoreChecker Checker(C);
+  CoreEnv Env;
+  DiagnosticEngine Diags;
+  for (const TopBinding &B : P.bindings())
+    Env.addGlobal(B.Name, B.Ty);
+  LevityChecker LC(C, Diags);
+  for (const TopBinding &B : P.bindings()) {
+    EXPECT_TRUE(Checker.lint(Env, B, Diags)) << B.Name.str();
+    EXPECT_TRUE(LC.check(Env, B.Rhs)) << B.Name.str();
+  }
+  EXPECT_TRUE(Diags.diagnostics().empty()) << Diags.str();
+}
+
+TEST(PreludeTest, EveryContextSharesThePreludesNamesAndTycons) {
+  const Prelude &P = Prelude::get();
+  CoreContext C1, C2;
+  EXPECT_EQ(C1.sym("plusInt"), C2.sym("plusInt"));
+  EXPECT_EQ(C1.sym("plusInt"), P.lookup("plusInt")->Name);
+  EXPECT_EQ(C1.intTyCon(), C2.intTyCon());
+  EXPECT_EQ(C1.boolTyCon(), C2.boolTyCon());
+  EXPECT_EQ(C1.iHashCon(), C2.iHashCon());
+  EXPECT_EQ(C1.lookupTyCon(C1.sym("List")), P.listTyCon());
+  EXPECT_EQ(C2.lookupTyCon(C2.sym("Pair")), P.pairTyCon());
+  EXPECT_EQ(C1.lookupDataCon(C1.sym("True")), C2.trueCon());
+
+  // Names and tycons a context makes are its own.
+  EXPECT_NE(C1.sym("onlyInC1"), C2.sym("onlyInC1"));
+  C1.makeTyCon(C1.sym("T"), C1.typeKind(), C1.liftedRep());
+  EXPECT_EQ(C2.lookupTyCon(C2.sym("T")), nullptr);
+
+  // A fresh name never collides with a prelude binder's.
+  Symbol X = C1.symbols().fresh("x");
+  EXPECT_NE(X, C1.sym("x"));
+  EXPECT_TRUE(C1.sym("plusInt") < X);
 }
 
 } // namespace

@@ -15,7 +15,9 @@
 //   * runAll agrees with serial runs, including when N threads call it
 //     at once over shared Bytecode compilations;
 //   * the LRU bound evicts (counted in Stats) without breaking inflight
-//     shared_ptrs, and holds once concurrent traffic settles.
+//     shared_ptrs, and holds once concurrent traffic settles;
+//   * the process's first compiles, racing on separate Sessions, build
+//     the shared prelude once and all see it whole.
 //
 // This suite is the ThreadSanitizer workload in CI: it must run with
 // zero reported races.
@@ -28,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +55,38 @@ std::string sourceFor(int Seed) {
 void spawnAll(std::vector<std::thread> &Threads) {
   for (std::thread &T : Threads)
     T.join();
+}
+
+//===----------------------------------------------------------------------===//
+// The first compile of the process
+//===----------------------------------------------------------------------===//
+
+// First in this file, so that it is the first test to build the prelude
+// in a whole-suite run; CI also runs it alone in its own process.
+TEST(DriverConcurrencyTest, FirstCompilesRaceToBuildThePrelude) {
+  std::latch Start(NumThreads);
+  std::vector<std::string> Answers(NumThreads);
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      Session S;
+      std::string Src = "v = case id (plusInt (I# " + std::to_string(T) +
+                        "#) (I# 1#)) of { I# r -> r }";
+      Start.arrive_and_wait();
+      std::shared_ptr<Compilation> Comp = S.compile(Src);
+      if (!Comp->ok()) {
+        Answers[T] = Comp->diagText();
+        return;
+      }
+      Backend B = T % 3 == 0   ? Backend::TreeInterp
+                  : T % 3 == 1 ? Backend::AbstractMachine
+                               : Backend::Bytecode;
+      RunResult R = Executor(Comp).run("v", B);
+      Answers[T] = R.ok() ? R.Display : R.Error;
+    });
+  spawnAll(Threads);
+  for (int T = 0; T != NumThreads; ++T)
+    EXPECT_EQ(Answers[T], std::to_string(T + 1) + "#") << "thread " << T;
 }
 
 //===----------------------------------------------------------------------===//

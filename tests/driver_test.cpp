@@ -701,6 +701,79 @@ TEST(DriverTest, ParseErrorsStopThePipeline) {
 }
 
 //===----------------------------------------------------------------------===//
+// The shared prelude
+//===----------------------------------------------------------------------===//
+
+/// Runs \p Name on all three backends and expects \p Display from each.
+void expectOnEveryBackend(const Compilation &Comp, std::string_view Name,
+                          const std::string &Display) {
+  for (Backend B : {Backend::TreeInterp, Backend::AbstractMachine,
+                    Backend::Bytecode}) {
+    RunResult R = Comp.run(Name, B);
+    ASSERT_TRUE(R.ok()) << backendName(B) << ": " << R.Error;
+    EXPECT_EQ(R.Display, Display) << backendName(B);
+  }
+}
+
+TEST(DriverTest, CompilationsShareThePreludesTermsAndTycons) {
+  Session S1, S2;
+  auto A = S1.compile("v = plusInt (I# 1#) (I# 2#)");
+  auto B = S2.compile("w = eqInt (I# 1#) (I# 2#)");
+  ASSERT_TRUE(A->ok()) << A->diagText();
+  ASSERT_TRUE(B->ok()) << B->diagText();
+
+  Symbol PlusA = A->ctx().sym("plusInt");
+  Symbol PlusB = B->ctx().sym("plusInt");
+  EXPECT_EQ(PlusA, PlusB);
+  const core::TopBinding *InA = A->program()->find(PlusA);
+  const core::TopBinding *InB = B->program()->find(PlusB);
+  ASSERT_NE(InA, nullptr);
+  ASSERT_NE(InB, nullptr);
+  EXPECT_EQ(InA->Rhs, InB->Rhs);
+  EXPECT_EQ(A->ctx().intTyCon(), B->ctx().intTyCon());
+  EXPECT_EQ(A->ctx().boolTyCon(), B->ctx().boolTyCon());
+}
+
+TEST(DriverTest, UserBindingShadowsABuiltin) {
+  // With a signature at another type, and without one: either way the
+  // module's `id` replaces the prelude's, on every backend.
+  Session S;
+  auto Sig = S.compile("id :: Int# -> Int# ;"
+                       "id x = x +# 1# ;"
+                       "v = id 41#");
+  ASSERT_TRUE(Sig->ok()) << Sig->diagText();
+  EXPECT_EQ(Sig->globalType("id")->str(), "Int# -> Int#");
+  expectOnEveryBackend(*Sig, "v", "42#");
+
+  auto Inferred = S.compile("id x = x +# 1# ;"
+                            "v = id 41#");
+  ASSERT_TRUE(Inferred->ok()) << Inferred->diagText();
+  expectOnEveryBackend(*Inferred, "v", "42#");
+
+  // A builtin the module does not rebind stays available beside it.
+  auto Mixed = S.compile("id :: Int -> Int ;"
+                         "id n = plusInt n n ;"
+                         "v = case id (I# 4#) of { I# r -> r }");
+  ASSERT_TRUE(Mixed->ok()) << Mixed->diagText();
+  expectOnEveryBackend(*Mixed, "v", "8#");
+}
+
+TEST(DriverTest, UserBindersNamedLikePreludeBindersAreNotCaptured) {
+  // plusInt binds a, b, x and y; $ and . bind fresh f, g and x. Globals
+  // and parameters of those names must stay the module's own.
+  Session S;
+  auto Comp = S.compile("x = 5# ;"
+                        "a :: Int ;"
+                        "a = I# 3# ;"
+                        "f :: Int -> Int ;"
+                        "f y = plusInt a y ;"
+                        "g f x = (f . f) $ x ;"
+                        "v = case g f (I# x) of { I# b -> b }");
+  ASSERT_TRUE(Comp->ok()) << Comp->diagText();
+  expectOnEveryBackend(*Comp, "v", "11#");
+}
+
+//===----------------------------------------------------------------------===//
 // Stage timings
 //===----------------------------------------------------------------------===//
 
@@ -708,10 +781,12 @@ TEST(DriverTest, TimingsCoverEveryStage) {
   Session S;
   auto Comp = S.compile(QuickstartSrc);
   ASSERT_TRUE(Comp->ok());
-  ASSERT_EQ(Comp->timings().size(), 3u);
+  ASSERT_EQ(Comp->timings().size(), 5u);
   EXPECT_EQ(Comp->timings()[0].Stage, "lex");
   EXPECT_EQ(Comp->timings()[1].Stage, "parse");
-  EXPECT_EQ(Comp->timings()[2].Stage, "elaborate+check");
+  EXPECT_EQ(Comp->timings()[2].Stage, "elaborate");
+  EXPECT_EQ(Comp->timings()[3].Stage, "lint");
+  EXPECT_EQ(Comp->timings()[4].Stage, "levity-check");
   for (const StageTiming &T : Comp->timings())
     EXPECT_GE(T.Millis, 0.0);
   EXPECT_FALSE(Comp->timingReport().empty());

@@ -117,6 +117,34 @@ TEST(SymbolTest, OrderingIsInterningOrder) {
   EXPECT_TRUE(A < B); // interned first
 }
 
+TEST(SymbolTest, ChildTableSharesTheFrozenParentsSymbols) {
+  SymbolTable Parent;
+  Symbol X = Parent.intern("x");
+  Symbol Y = Parent.intern("y");
+  Parent.freeze();
+
+  SymbolTable Child(&Parent);
+  EXPECT_EQ(Child.intern("x"), X);
+  EXPECT_EQ(Child.intern("y"), Y);
+  EXPECT_EQ(Child.size(), 0u); // nothing was interned into the child
+
+  // A child name sorts after every parent name.
+  Symbol Z = Child.intern("z");
+  EXPECT_TRUE(X < Z && Y < Z);
+  EXPECT_EQ(Child.size(), 1u);
+
+  // A fresh name avoids the parent's names as well as the child's.
+  Symbol F = Child.fresh("x");
+  EXPECT_NE(F, X);
+  EXPECT_NE(F.str(), "x");
+  EXPECT_EQ(Child.fresh("w").str(), "w");
+
+  // Two children of one parent agree on the parent's names only.
+  SymbolTable Sibling(&Parent);
+  EXPECT_EQ(Sibling.intern("x"), X);
+  EXPECT_NE(Sibling.intern("z"), Z);
+}
+
 TEST(DiagnosticsTest, CollectsErrorsAndCodes) {
   DiagnosticEngine DE;
   EXPECT_FALSE(DE.hasErrors());
