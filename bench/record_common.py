@@ -1,7 +1,7 @@
 """Shared plumbing for the BENCH_*.json recorders.
 
-Every recorder (record_bytecode_bench.py, record_server_bench.py,
-record_driver_bench.py) goes through this module for three things:
+The recorder (record_bytecode_bench.py) goes through this module for
+three things, and perfbench/run.py reuses its build-type check:
 
   * load_gbench()      — normalize a --benchmark_out_format=json file to
                          {name, ns_per_op, iterations, counters} rows.

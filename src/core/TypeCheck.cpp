@@ -38,7 +38,10 @@ bool CoreChecker::isConcreteValueKind(const Kind *K) {
 }
 
 Result<const Kind *> CoreChecker::kindOf(CoreEnv &Env, const Type *T) {
-  T = C.zonkType(T);
+  return kindOfZonked(Env, C.zonkType(T));
+}
+
+Result<const Kind *> CoreChecker::kindOfZonked(CoreEnv &Env, const Type *T) {
   switch (T->tag()) {
   case Type::Tag::Con:
     return cast<ConType>(T)->tycon()->kind();
@@ -60,14 +63,14 @@ Result<const Kind *> CoreChecker::kindOf(CoreEnv &Env, const Type *T) {
     return C.repKind();
   case Type::Tag::App: {
     const auto *A = cast<AppType>(T);
-    Result<const Kind *> FnK = kindOf(Env, A->fn());
+    Result<const Kind *> FnK = kindOfZonked(Env, A->fn());
     if (!FnK)
       return FnK;
     const Kind *K = C.zonkKind(*FnK);
     if (!K->isArrow())
       return err("applying type of non-arrow kind " + K->str() + ": " +
                  A->fn()->str());
-    Result<const Kind *> ArgK = kindOf(Env, A->arg());
+    Result<const Kind *> ArgK = kindOfZonked(Env, A->arg());
     if (!ArgK)
       return ArgK;
     if (!kindEqual(C.zonkKind(K->param()), C.zonkKind(*ArgK)))
@@ -80,13 +83,13 @@ Result<const Kind *> CoreChecker::kindOf(CoreEnv &Env, const Type *T) {
     // (->) :: ∀r1 r2. TYPE r1 -> TYPE r2 -> Type (Section 4.3): both
     // sides must classify values, at *any* rep; the arrow is lifted.
     const auto *F = cast<FunType>(T);
-    Result<const Kind *> PK = kindOf(Env, F->param());
+    Result<const Kind *> PK = kindOfZonked(Env, F->param());
     if (!PK)
       return PK;
     if (!C.zonkKind(*PK)->isTypeOf())
       return err("function parameter has non-value kind " + (*PK)->str() +
                  ": " + F->param()->str());
-    Result<const Kind *> RK = kindOf(Env, F->result());
+    Result<const Kind *> RK = kindOfZonked(Env, F->result());
     if (!RK)
       return RK;
     if (!C.zonkKind(*RK)->isTypeOf())
@@ -99,7 +102,7 @@ Result<const Kind *> CoreChecker::kindOf(CoreEnv &Env, const Type *T) {
     // the bound variable must not occur in the body's kind.
     const auto *F = cast<ForAllType>(T);
     Env.pushTypeVar(F->var(), F->varKind());
-    Result<const Kind *> BK = kindOf(Env, F->body());
+    Result<const Kind *> BK = kindOfZonked(Env, F->body());
     Env.popTypeVar();
     if (!BK)
       return BK;
@@ -145,7 +148,7 @@ Result<const Kind *> CoreChecker::kindOf(CoreEnv &Env, const Type *T) {
     const auto *U = cast<UnboxedTupleType>(T);
     std::vector<const RepTy *> Reps;
     for (const Type *E : U->elems()) {
-      Result<const Kind *> EK = kindOf(Env, E);
+      Result<const Kind *> EK = kindOfZonked(Env, E);
       if (!EK)
         return EK;
       const Kind *K = C.zonkKind(*EK);

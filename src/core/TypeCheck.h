@@ -97,6 +97,9 @@ public:
   void fixStrictness(CoreEnv &Env, const Expr *E);
 
 private:
+  /// kindOf over an already-zonked \p T, whose children are zonked too.
+  Result<const Kind *> kindOfZonked(CoreEnv &Env, const Type *T);
+
   CoreContext &C;
   bool CheckStrictnessBits = true;
 };

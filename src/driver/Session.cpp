@@ -105,9 +105,9 @@ runFrontEndStages(const std::string &Source, DiagnosticEngine &Diags,
 
 } // namespace
 
-void Compilation::compileSource(std::string_view Src) {
+void Compilation::compileSource(std::string_view Src, uint64_t Hash) {
   Source.assign(Src);
-  SrcHash = Session::hashSource(Src);
+  SrcHash = Hash;
   Elaborated = runFrontEndStages(Source, Diags, Elab, &Timings);
   Succeeded = Elaborated.has_value();
 }
@@ -324,15 +324,14 @@ size_t Session::perShardCap() const {
 }
 
 std::shared_ptr<Compilation> Session::buildSource(std::string_view Source,
+                                                  uint64_t Hash,
                                                   CompileOutcome &Outcome) {
-  uint64_t H = hashSource(Source);
-
   // Read-through: a published artifact turns this compile into pure
   // deserialization — no front end, no lowering. Validation is strict
   // (checksum, pipeline fingerprint, byte-exact source), so corrupt or
   // stale-version entries silently fall through to a clean recompile.
   if (Store) {
-    if (std::optional<std::string> Bytes = Store->load(H)) {
+    if (std::optional<std::string> Bytes = Store->load(Hash)) {
       if (std::shared_ptr<Compilation> Comp =
               Compilation::deserializeArtifact(*Bytes, Source, Opts)) {
         NumDiskHits.fetch_add(1, std::memory_order_relaxed);
@@ -345,7 +344,7 @@ std::shared_ptr<Compilation> Session::buildSource(std::string_view Source,
 
   Outcome = CompileOutcome::FrontEnd;
   auto Comp = std::shared_ptr<Compilation>(new Compilation(Opts));
-  Comp->compileSource(Source);
+  Comp->compileSource(Source, Hash);
   NumCompilations.fetch_add(1, std::memory_order_relaxed);
 
   // Write-behind, the worker pool's only job: persist off the caller's
@@ -357,8 +356,8 @@ std::shared_ptr<Compilation> Session::buildSource(std::string_view Source,
       std::lock_guard<std::mutex> Lock(StoreFlushM);
       ++PendingStoreWrites;
     }
-    pool().submit([this, Comp, H] {
-      writeArtifact(Comp, H);
+    pool().submit([this, Comp, Hash] {
+      writeArtifact(Comp, Hash);
       {
         std::lock_guard<std::mutex> Lock(StoreFlushM);
         --PendingStoreWrites;
@@ -428,10 +427,10 @@ std::shared_ptr<Compilation> Session::compile(std::string_view Source) {
 
 std::shared_ptr<Compilation> Session::compile(std::string_view Source,
                                               CompileOutcome &Outcome) {
-  if (!Opts.EnableCache)
-    return buildSource(Source, Outcome);
-
   uint64_t H = hashSource(Source);
+  if (!Opts.EnableCache)
+    return buildSource(Source, H, Outcome);
+
   Shard &Sh = Shards[H % NumShards];
 
   std::promise<std::shared_ptr<Compilation>> Prom;
@@ -472,7 +471,7 @@ std::shared_ptr<Compilation> Session::compile(std::string_view Source,
 
   std::shared_ptr<Compilation> Comp;
   try {
-    Comp = buildSource(Source, Outcome);
+    Comp = buildSource(Source, H, Outcome);
   } catch (...) {
     // Wake current waiters with the failure, but drop the entry so the
     // source retries fresh instead of rethrowing a stale exception on

@@ -381,7 +381,8 @@ private:
   friend class Executor;
   explicit Compilation(const CompileOptions &Opts);
 
-  void compileSource(std::string_view Src);
+  /// Runs the front end over \p Src, whose hashSource() is \p Hash.
+  void compileSource(std::string_view Src, uint64_t Hash);
   void adoptProgram(
       const std::function<core::CoreProgram(core::CoreContext &)> &Build);
 
@@ -566,7 +567,10 @@ private:
   struct Shard;
   struct WorkerPool;
 
+  /// Builds \p Source, whose hashSource() is \p Hash: from the store
+  /// when it holds the artifact, else through the front end.
   std::shared_ptr<Compilation> buildSource(std::string_view Source,
+                                           uint64_t Hash,
                                            CompileOutcome &Outcome);
   /// Serializes \p Comp and publishes it in the store under \p Hash,
   /// then enforces the store budgets. Runs on the worker pool.

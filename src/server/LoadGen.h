@@ -7,9 +7,9 @@
 ///
 /// \file
 /// The client half of the server stack: a deterministic multi-client
-/// workload driver speaking LEVP/1, shared by examples/load_driver.cpp
-/// (the CLI) and bench/bench_server.cpp (the recorded latency/throughput
-/// trajectory), and reused by the server tests.
+/// workload driver speaking LEVP/1, behind examples/load_driver.cpp
+/// (the CLI) and reused by the server tests; perfbench's levp-hot
+/// workload reuses its makeWorkload programs.
 ///
 /// The workload is a family of *distinct* programs with known answers
 /// (makeWorkload), so a run checks real results: every OK response is

@@ -10,8 +10,9 @@
 //   * one Session serves ≥8 threads — same-source compiles hit the cache
 //     (and build exactly once even when racing), distinct sources build
 //     independently;
-//   * one immutable Compilation serves many Executors on both backends
-//     concurrently, with results identical to serial runs;
+//   * one immutable Compilation serves many Executors on all three
+//     backends concurrently, with results and per-run peak heaps
+//     identical to serial runs;
 //   * runAll agrees with serial runs, including when N threads call it
 //     at once over shared Bytecode compilations;
 //   * the LRU bound evicts (counted in Stats) without breaking inflight
@@ -170,38 +171,53 @@ TEST(DriverConcurrencyTest, SharedCompilationRunsAllBackendsConcurrently) {
   std::shared_ptr<Compilation> Comp = S.compile(QuickstartSrc);
   ASSERT_TRUE(Comp->ok()) << Comp->diagText();
 
-  // Serial baseline.
-  RunResult SerialTree = Comp->run("answer", Backend::TreeInterp);
-  RunResult SerialMach = Comp->run("answer", Backend::AbstractMachine);
-  RunResult SerialBc = Comp->run("answer", Backend::Bytecode);
-  ASSERT_TRUE(SerialTree.ok() && SerialMach.ok() && SerialBc.ok());
-  ASSERT_EQ(SerialBc.Used, Backend::Bytecode);
-
-  // Rotate all three backends per thread: tree runs race the lazy
-  // front-end path, machine runs race the memoized lowering, and
-  // bytecode runs race the call_once-style module memoization (the
-  // first N threads all want to compile the same module at once).
+  // Rotate all three backends per thread: machine runs race the
+  // memoized lowering, and bytecode runs race the call_once-style
+  // module memoization (the first N threads all want to compile the
+  // same module at once).
   const Backend Rotation[] = {Backend::TreeInterp, Backend::AbstractMachine,
                               Backend::Bytecode};
+  constexpr int Runs = 12;
+
+  // Serial baseline by run position, on a twin compilation of the same
+  // source so that Comp's lazy lowering and module are still unbuilt
+  // when the threads start. Thread T replays rotation offset T % 3 on
+  // its own Executor, so its I-th run must cost and hold exactly what a
+  // serial Executor's I-th run of the same sequence did (the position
+  // matters for tree runs: an executor's first one forces the globals).
+  // A footprint that changes with the threads beside it is run state
+  // leaking across executors.
+  Session SerialSession;
+  std::shared_ptr<Compilation> Twin = SerialSession.compile(QuickstartSrc);
+  ASSERT_TRUE(Twin->ok()) << Twin->diagText();
+  RunResult Serial[3][Runs];
+  for (int Offset = 0; Offset != 3; ++Offset) {
+    Executor Ex(Twin);
+    for (int I = 0; I != Runs; ++I) {
+      Serial[Offset][I] = Ex.run("answer", Rotation[(I + Offset) % 3]);
+      ASSERT_TRUE(Serial[Offset][I].ok()) << Serial[Offset][I].Error;
+      ASSERT_GT(Serial[Offset][I].peakHeapBytes(), 0u) << "run " << I;
+    }
+  }
+
   std::vector<std::thread> Threads;
   for (int T = 0; T != NumThreads; ++T)
     Threads.emplace_back([&, T] {
       Executor Ex(Comp);
-      for (int I = 0; I != 12; ++I) {
+      for (int I = 0; I != Runs; ++I) {
         Backend B = Rotation[(I + T) % 3];
         RunResult R = Ex.run("answer", B);
         ASSERT_TRUE(R.ok()) << R.Error;
         EXPECT_EQ(R.IntValue.value_or(-1), 42);
         EXPECT_EQ(R.Used, B);
-        // Cost models agree with the serial baseline: machine runs
-        // always allocate 1; the executor's first tree run allocates 1,
-        // later ones 0 (memoized globals); VM runs replay identically.
-        if (B == Backend::AbstractMachine)
-          EXPECT_EQ(R.allocations(), SerialMach.allocations());
-        if (B == Backend::Bytecode) {
-          EXPECT_EQ(R.allocations(), SerialBc.allocations());
-          EXPECT_EQ(R.steps(), SerialBc.steps());
-        }
+        const RunResult &Want = Serial[T % 3][I];
+        EXPECT_EQ(R.allocations(), Want.allocations())
+            << "thread " << T << " run " << I;
+        EXPECT_EQ(R.steps(), Want.steps()) << "thread " << T << " run " << I;
+        EXPECT_EQ(R.peakHeapCells(), Want.peakHeapCells())
+            << "thread " << T << " run " << I;
+        EXPECT_EQ(R.peakHeapBytes(), Want.peakHeapBytes())
+            << "thread " << T << " run " << I;
       }
       // The artifact also answers type queries concurrently.
       EXPECT_NE(Comp->globalType("square"), nullptr);
