@@ -23,9 +23,9 @@ int main() {
   std::printf("== levity quickstart ==\n\n");
 
   // 1. Compile a program that mixes boxed and unboxed code. The Session
-  //    runs lex -> parse -> elaborate -> lint -> levity-check and hands
-  //    back a Compilation with diagnostics, timings, and selectable
-  //    backends.
+  //    runs lex -> parse -> elaborate -> lint (Core Lint, which also
+  //    checks Section 5.1) and hands back a Compilation with
+  //    diagnostics, timings, and selectable backends.
   driver::Session S;
   auto Comp = S.compile(
       "square :: Int# -> Int# ;"

@@ -9,9 +9,11 @@
 /// The expression language of the generalized core IR: System F with
 /// datatypes, literals of several reps, let/letrec, case, primops,
 /// unboxed tuples, and a levity-polymorphic `error`. Applications and
-/// lets carry a *strictness bit* derived from the binder/argument kind at
-/// elaboration time — this is "kinds are calling conventions" made
-/// operational, and it is exactly what the LevityCheck pass validates.
+/// lets carry a *strictness bit* derived from the binder/argument kind —
+/// provisional during elaboration, set by Core Lint once every kind is
+/// solved. This is "kinds are calling conventions" made operational, and
+/// Section 5.1's checks, in the same Lint walk, guarantee every such kind
+/// is concrete.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -162,7 +164,7 @@ public:
   const Expr *arg() const { return Arg; }
   bool strictArg() const { return StrictArg; }
   /// Elaboration may not know the argument kind until metavariables are
-  /// solved; the post-inference fix-up pass rewrites the bit in place.
+  /// solved; Core Lint rewrites the bit in place once they are.
   void setStrictArg(bool Strict) const { StrictArg = Strict; }
 
   static bool classof(const Expr *E) { return E->tag() == Tag::App; }
@@ -360,7 +362,7 @@ private:
 };
 
 /// error @ρ @τ msg — instantiated at result type τ :: TYPE ρ. Keeping the
-/// instantiation explicit on the node lets the levity checker confirm the
+/// instantiation explicit on the node lets Core Lint confirm the
 /// *use* is fine even though error's own type is levity-polymorphic
 /// (Section 3.3 / 4.3).
 class ErrorExpr : public Expr {

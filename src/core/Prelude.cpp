@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Prelude.h"
-#include "core/LevityCheck.h"
+#include "core/TypeCheck.h"
 
 using namespace levity;
 using namespace levity::core;
@@ -28,18 +28,13 @@ Prelude::Prelude() : Ctx(nullptr) {
   addBuiltins();
 
   // The post-inference pass every user binding goes through, run here
-  // once: strictness bits, then Core Lint, then the Section 5.1 checks.
+  // once: Core Lint sets the strictness bits and checks Section 5.1.
   CoreEnv Env;
   for (const TopBinding &B : Bindings)
     Env.addGlobal(B.Name, B.Ty);
   CoreChecker Checker(Ctx);
   for (const TopBinding &B : Bindings)
-    Checker.fixStrictness(Env, B.Rhs);
-  for (const TopBinding &B : Bindings)
     Checker.lint(Env, B, Diags);
-  LevityChecker LC(Ctx, Diags);
-  for (const TopBinding &B : Bindings)
-    LC.check(Env, B.Rhs);
 
   Ctx.Symbols.freeze();
 }

@@ -12,11 +12,11 @@
 /// comparisons, `id`, and Section 7.2's levity-polymorphic `$` and `.`).
 ///
 /// It is built once per process, on first use, into its own context. The
-/// build fixes its strictness bits, lints it and levity-checks it (the
-/// Section 5.1 checks run once, at definition, as in GHC, which checks
-/// `base` once rather than in every module), then freezes it. Nothing
-/// writes it afterwards, so every CoreContext — a child of this one — and
-/// every thread reads it without locking.
+/// build runs Core Lint over it, which sets its strictness bits and
+/// checks Section 5.1 once, at definition, as GHC checks `base` once
+/// rather than in every module; then it freezes. Nothing writes it
+/// afterwards, so every CoreContext — a child of this one — and every
+/// thread reads it without locking.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,8 +54,8 @@ public:
   const TyCon *listTyCon() const { return ListTC; }
   const TyCon *pairTyCon() const { return PairTC; }
 
-  /// What Core Lint and the levity check reported on the builtins when
-  /// the prelude was built: nothing, unless the builtins are wrong.
+  /// What Core Lint reported on the builtins when the prelude was built:
+  /// nothing, unless the builtins are wrong.
   const DiagnosticEngine &diagnostics() const { return Diags; }
 
 private:

@@ -165,6 +165,7 @@ Result<const Kind *> CoreChecker::kindOfZonked(CoreEnv &Env, const Type *T) {
 }
 
 Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
+  ++Visits;
   switch (E->tag()) {
   case Expr::Tag::Var: {
     const auto *V = cast<VarExpr>(E);
@@ -194,23 +195,15 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
     const auto *F = dyn_cast<FunType>(C.zonkType(*FnTy));
     if (!F)
       return err("applying non-function of type " + (*FnTy)->str());
+    size_t Mark = lintMark();
     Result<const Type *> ArgTy = typeOf(Env, A->arg());
     if (!ArgTy)
       return ArgTy;
     if (!typeEqual(C.zonkType(F->param()), C.zonkType(*ArgTy)))
       return err("argument type mismatch: expected " + F->param()->str() +
                  ", got " + (*ArgTy)->str());
-    // Consistency of the strictness bit with the argument kind, when the
-    // kind is concrete (levity-polymorphic cases are LevityCheck's job).
-    Result<const Kind *> AK = kindOf(Env, F->param());
-    if (CheckStrictnessBits && AK && isConcreteValueKind(*AK)) {
-      const RepTy *R = C.zonkRep((*AK)->rep());
-      bool Unlifted = !(R->tag() == RepTy::Tag::Atom &&
-                        R->atom() == RepCtor::Lifted);
-      if (Unlifted != A->strictArg())
-        return err("strictness bit disagrees with argument kind " +
-                   (*AK)->str() + " in " + E->str());
-    }
+    if (Violations)
+      lintArgument(Env, Mark, A->arg(), *ArgTy, A);
     return F->result();
   }
   case Expr::Tag::TyApp: {
@@ -237,6 +230,8 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
       return err(BK.error());
     if (!C.zonkKind(*BK)->isTypeOf())
       return err("lambda binder has non-value kind " + (*BK)->str());
+    if (Violations && !isConcreteValueKind(*BK))
+      reportLevityBinder(L->var(), L->varType(), *BK);
     Env.pushTerm(L->var(), L->varType());
     Result<const Type *> BodyTy = typeOf(Env, L->body());
     Env.popTerm();
@@ -255,6 +250,13 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
   }
   case Expr::Tag::Let: {
     const auto *L = cast<LetExpr>(E);
+    if (Violations) {
+      if (const Kind *K = lintBinder(Env, L->var(), L->varType())) {
+        bool Strict = !isLiftedKind(K);
+        if (L->strict() != Strict)
+          L->setStrict(Strict);
+      }
+    }
     Result<const Type *> RhsTy = typeOf(Env, L->rhs());
     if (!RhsTy)
       return RhsTy;
@@ -268,8 +270,11 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
   }
   case Expr::Tag::LetRec: {
     const auto *L = cast<LetRecExpr>(E);
-    for (const RecBinding &B : L->bindings())
+    for (const RecBinding &B : L->bindings()) {
+      if (Violations)
+        lintBinder(Env, B.Var, B.VarTy);
       Env.pushTerm(B.Var, B.VarTy);
+    }
     for (const RecBinding &B : L->bindings()) {
       Result<const Type *> RhsTy = typeOf(Env, B.Rhs);
       if (!RhsTy) {
@@ -281,17 +286,14 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
         return err("letrec annotation mismatch for " +
                    std::string(B.Var.str()));
       }
-      // Recursive binders must be lifted (a thunk ties the knot).
+      // Recursive binders must be lifted (a thunk ties the knot). A
+      // levity-polymorphic one is a Section 5.1 violation instead.
       CoreEnv KEnv;
       Result<const Kind *> BK = kindOf(KEnv, B.VarTy);
-      if (BK && C.zonkKind(*BK)->isTypeOf()) {
-        const RepTy *R = C.zonkRep(C.zonkKind(*BK)->rep());
-        if (!(R->tag() == RepTy::Tag::Atom &&
-              R->atom() == RepCtor::Lifted)) {
-          Env.popTerms(L->bindings().size());
-          return err("recursive binder " + std::string(B.Var.str()) +
-                     " has unlifted type " + B.VarTy->str());
-        }
+      if (BK && isConcreteValueKind(*BK) && !isLiftedKind(*BK)) {
+        Env.popTerms(L->bindings().size());
+        return err("recursive binder " + std::string(B.Var.str()) +
+                   " has unlifted type " + B.VarTy->str());
       }
     }
     Result<const Type *> BodyTy = typeOf(Env, L->body());
@@ -332,6 +334,8 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
                              U != TyArgs.size();
                ++U)
             FieldTy = substType(C, FieldTy, A.Con->univs()[U], TyArgs[U]);
+          if (Violations)
+            lintBinder(Env, A.Binders[I], FieldTy);
           Env.pushTerm(A.Binders[I], FieldTy);
           ++Pushed;
         }
@@ -346,6 +350,8 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
         if (A.Binders.size() != UT->elems().size())
           return err("unboxed tuple pattern arity mismatch");
         for (size_t I = 0; I != A.Binders.size(); ++I) {
+          if (Violations)
+            lintBinder(Env, A.Binders[I], UT->elems()[I]);
           Env.pushTerm(A.Binders[I], UT->elems()[I]);
           ++Pushed;
         }
@@ -378,6 +384,7 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
       const Type *FieldTy = DC->fields()[I];
       for (size_t U = 0; U != DC->univs().size(); ++U)
         FieldTy = substType(C, FieldTy, DC->univs()[U], Con->tyArgs()[U]);
+      size_t Mark = lintMark();
       Result<const Type *> ArgTy = typeOf(Env, Con->args()[I]);
       if (!ArgTy)
         return ArgTy;
@@ -385,6 +392,8 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
         return err("constructor field type mismatch in " +
                    std::string(DC->name().str()) + ": expected " +
                    FieldTy->str() + ", got " + (*ArgTy)->str());
+      if (Violations)
+        lintArgument(Env, Mark, Con->args()[I], *ArgTy);
     }
     const Type *T = C.conTy(const_cast<TyCon *>(DC->parent()));
     return C.appTys(T, Con->tyArgs());
@@ -397,6 +406,7 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
                  std::string(primOpName(P->op())));
     for (const Expr *A : P->args()) {
       const auto *F = cast<FunType>(OpTy);
+      size_t Mark = lintMark();
       Result<const Type *> ArgTy = typeOf(Env, A);
       if (!ArgTy)
         return ArgTy;
@@ -404,6 +414,8 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
         return err("primop argument type mismatch for " +
                    std::string(primOpName(P->op())) + ": expected " +
                    F->param()->str() + ", got " + (*ArgTy)->str());
+      if (Violations)
+        lintArgument(Env, Mark, A, *ArgTy);
       OpTy = F->result();
     }
     return OpTy;
@@ -412,9 +424,12 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
     const auto *U = cast<UnboxedTupleExpr>(E);
     std::vector<const Type *> Elems;
     for (const Expr *El : U->elems()) {
+      size_t Mark = lintMark();
       Result<const Type *> T = typeOf(Env, El);
       if (!T)
         return T;
+      if (Violations)
+        lintArgument(Env, Mark, El, *T);
       Elems.push_back(C.zonkType(*T));
     }
     return C.unboxedTupleTy(Elems);
@@ -444,140 +459,68 @@ Result<const Type *> CoreChecker::typeOf(CoreEnv &Env, const Expr *E) {
 }
 
 //===----------------------------------------------------------------------===//
-// Strictness fix-up
-//===----------------------------------------------------------------------===//
-
-void CoreChecker::fixStrictness(CoreEnv &Env, const Expr *E) {
-  switch (E->tag()) {
-  case Expr::Tag::Var:
-  case Expr::Tag::Lit:
-    return;
-  case Expr::Tag::App: {
-    const auto *A = cast<AppExpr>(E);
-    fixStrictness(Env, A->fn());
-    fixStrictness(Env, A->arg());
-    CheckStrictnessBits = false;
-    Result<const Type *> ArgTy = typeOf(Env, A->arg());
-    CheckStrictnessBits = true;
-    if (ArgTy) {
-      Result<const Kind *> K = kindOf(Env, *ArgTy);
-      if (K && isConcreteValueKind(*K)) {
-        const RepTy *R = C.zonkRep(C.zonkKind(*K)->rep());
-        bool Lifted = R->tag() == RepTy::Tag::Atom &&
-                      R->atom() == RepCtor::Lifted;
-        A->setStrictArg(!Lifted);
-      }
-    }
-    return;
-  }
-  case Expr::Tag::TyApp:
-    fixStrictness(Env, cast<TyAppExpr>(E)->fn());
-    return;
-  case Expr::Tag::Lam: {
-    const auto *L = cast<LamExpr>(E);
-    Env.pushTerm(L->var(), L->varType());
-    fixStrictness(Env, L->body());
-    Env.popTerm();
-    return;
-  }
-  case Expr::Tag::TyLam: {
-    const auto *L = cast<TyLamExpr>(E);
-    Env.pushTypeVar(L->var(), L->varKind());
-    fixStrictness(Env, L->body());
-    Env.popTypeVar();
-    return;
-  }
-  case Expr::Tag::Let: {
-    const auto *L = cast<LetExpr>(E);
-    fixStrictness(Env, L->rhs());
-    Result<const Kind *> K = kindOf(Env, L->varType());
-    if (K && isConcreteValueKind(*K)) {
-      const RepTy *R = C.zonkRep(C.zonkKind(*K)->rep());
-      bool Lifted = R->tag() == RepTy::Tag::Atom &&
-                    R->atom() == RepCtor::Lifted;
-      L->setStrict(!Lifted);
-    }
-    Env.pushTerm(L->var(), L->varType());
-    fixStrictness(Env, L->body());
-    Env.popTerm();
-    return;
-  }
-  case Expr::Tag::LetRec: {
-    const auto *L = cast<LetRecExpr>(E);
-    for (const RecBinding &B : L->bindings())
-      Env.pushTerm(B.Var, B.VarTy);
-    for (const RecBinding &B : L->bindings())
-      fixStrictness(Env, B.Rhs);
-    fixStrictness(Env, L->body());
-    Env.popTerms(L->bindings().size());
-    return;
-  }
-  case Expr::Tag::Case: {
-    const auto *Cs = cast<CaseExpr>(E);
-    fixStrictness(Env, Cs->scrut());
-    CheckStrictnessBits = false;
-    Result<const Type *> ScrutTy = typeOf(Env, Cs->scrut());
-    CheckStrictnessBits = true;
-    for (const Alt &A : Cs->alts()) {
-      size_t Pushed = 0;
-      if (A.Kind == Alt::AltKind::ConPat && ScrutTy) {
-        const Type *Head = C.zonkType(*ScrutTy);
-        std::vector<const Type *> TyArgs;
-        while (const auto *App = dyn_cast<AppType>(Head)) {
-          TyArgs.insert(TyArgs.begin(), App->arg());
-          Head = App->fn();
-        }
-        for (size_t I = 0; I != A.Binders.size(); ++I) {
-          const Type *FieldTy = A.Con->fields()[I];
-          for (size_t U = 0;
-               U != A.Con->univs().size() && U != TyArgs.size(); ++U)
-            FieldTy = substType(C, FieldTy, A.Con->univs()[U], TyArgs[U]);
-          Env.pushTerm(A.Binders[I], FieldTy);
-          ++Pushed;
-        }
-      } else if (A.Kind == Alt::AltKind::TuplePat && ScrutTy) {
-        if (const auto *UT =
-                dyn_cast<UnboxedTupleType>(C.zonkType(*ScrutTy))) {
-          for (size_t I = 0;
-               I != A.Binders.size() && I != UT->elems().size(); ++I) {
-            Env.pushTerm(A.Binders[I], UT->elems()[I]);
-            ++Pushed;
-          }
-        }
-      }
-      fixStrictness(Env, A.Rhs);
-      Env.popTerms(Pushed);
-    }
-    return;
-  }
-  case Expr::Tag::Con: {
-    for (const Expr *A : cast<ConExpr>(E)->args())
-      fixStrictness(Env, A);
-    return;
-  }
-  case Expr::Tag::Prim: {
-    for (const Expr *A : cast<PrimOpExpr>(E)->args())
-      fixStrictness(Env, A);
-    return;
-  }
-  case Expr::Tag::UnboxedTuple: {
-    for (const Expr *El : cast<UnboxedTupleExpr>(E)->elems())
-      fixStrictness(Env, El);
-    return;
-  }
-  case Expr::Tag::Error:
-    fixStrictness(Env, cast<ErrorExpr>(E)->message());
-    return;
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Linting a top-level binding
 //===----------------------------------------------------------------------===//
 
+bool CoreChecker::isLiftedKind(const Kind *K) {
+  const RepTy *R = C.zonkRep(C.zonkKind(K)->rep());
+  return R->tag() == RepTy::Tag::Atom && R->atom() == RepCtor::Lifted;
+}
+
+const Kind *CoreChecker::lintBinder(CoreEnv &Env, Symbol Var,
+                                    const Type *VarTy) {
+  Result<const Kind *> K = kindOf(Env, VarTy);
+  if (!K) {
+    Violations->push_back({Severity::Error, DiagCode::Internal, {},
+                           "cannot kind binder type: " + K.error()});
+    return nullptr;
+  }
+  if (isConcreteValueKind(*K))
+    return *K;
+  reportLevityBinder(Var, VarTy, *K);
+  return nullptr;
+}
+
+void CoreChecker::reportLevityBinder(Symbol Var, const Type *VarTy,
+                                     const Kind *K) {
+  Violations->push_back(
+      {Severity::Error, DiagCode::LevityPolymorphicBinder, {},
+       "levity-polymorphic binder: " + std::string(Var.str()) + " :: " +
+           C.zonkType(VarTy)->str() + " has kind " + C.zonkKind(K)->str() +
+           ", which does not determine a representation"});
+}
+
+void CoreChecker::lintArgument(CoreEnv &Env, size_t Mark, const Expr *Arg,
+                               const Type *ArgTy, const AppExpr *App) {
+  auto At = Violations->begin() + std::ptrdiff_t(Mark);
+  Result<const Kind *> K = kindOf(Env, ArgTy);
+  if (!K) {
+    Violations->insert(At, {Severity::Error, DiagCode::Internal, {},
+                            "cannot kind argument type: " + K.error()});
+    return;
+  }
+  if (!isConcreteValueKind(*K)) {
+    Violations->insert(
+        At, {Severity::Error, DiagCode::LevityPolymorphicArgument, {},
+             "levity-polymorphic function argument: " + Arg->str() +
+                 " :: " + C.zonkType(ArgTy)->str() + " has kind " +
+                 C.zonkKind(*K)->str() +
+                 ", which does not determine a calling convention"});
+    return;
+  }
+  bool Strict = !isLiftedKind(*K);
+  if (App && App->strictArg() != Strict)
+    App->setStrictArg(Strict);
+}
+
 bool CoreChecker::lint(CoreEnv &Env, const TopBinding &B,
                        DiagnosticEngine &Diags) {
+  std::vector<Diagnostic> Found;
+  Violations = &Found;
   Result<const Type *> T = typeOf(Env, B.Rhs);
+  Violations = nullptr;
+  for (Diagnostic &D : Found)
+    Diags.error(D.Code, std::move(D.Message));
   if (!T) {
     Diags.error(DiagCode::Internal, "core lint failed for '" +
                                         std::string(B.Name.str()) +
@@ -585,7 +528,7 @@ bool CoreChecker::lint(CoreEnv &Env, const TopBinding &B,
     return false;
   }
   if (typeEqual(C.zonkType(*T), C.zonkType(B.Ty)))
-    return true;
+    return Found.empty();
   Diags.error(DiagCode::Internal,
               "core lint type mismatch for '" + std::string(B.Name.str()) +
                   "': " + C.zonkType(*T)->str() + " vs " +

@@ -97,8 +97,7 @@ runFrontEndStages(const std::string &Source, DiagnosticEngine &Diags,
 
   std::optional<surface::ElabOutput> Out =
       Timed("elaborate", [&] { return Elab.elaborate(Module); });
-  if (!Out || !Timed("lint", [&] { return Elab.lint(*Out); }) ||
-      !Timed("levity-check", [&] { return Elab.levityCheck(*Out); }))
+  if (!Out || !Timed("lint", [&] { return Elab.lint(*Out); }))
     return std::nullopt;
   return Out;
 }

@@ -293,7 +293,8 @@ public:
   bool hydratedBytecode() const { return Hydrated && vmProgram().Module; }
 
   /// Per-stage wall-clock timings, in pipeline order: lex, parse,
-  /// elaborate, lint and levity-check for a source compile. For hydrated
+  /// elaborate and lint (which also sets the strictness bits and checks
+  /// Section 5.1) for a source compile. For hydrated
   /// compilations: the *original* build's stages (restored from the
   /// artifact) followed by this process's "hydrate" stage.
   const std::vector<StageTiming> &timings() const { return Timings; }
@@ -479,9 +480,9 @@ public:
   Session(const Session &) = delete;
   Session &operator=(const Session &) = delete;
 
-  /// Compiles surface source through lex → parse → elaborate → lint →
-  /// levity-check. Identical source (by hash, verified by exact compare)
-  /// returns the cached Compilation.
+  /// Compiles surface source through lex → parse → elaborate → lint
+  /// (Core Lint, with the Section 5.1 checks). Identical source (by hash,
+  /// verified by exact compare) returns the cached Compilation.
   std::shared_ptr<Compilation> compile(std::string_view Source);
 
   /// Like compile(), additionally reporting *how* this call was served

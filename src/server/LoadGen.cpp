@@ -254,7 +254,7 @@ void clientThread(size_t Index, Client &Cl,
     Request R;
     R.Tenant = Tenant;
     int64_t E;
-    if (Opts.TimeoutPeriod && J % Opts.TimeoutPeriod ==
+    if (Opts.TimeoutPeriod && (Index + J) % Opts.TimeoutPeriod ==
                                   Opts.TimeoutPeriod - 1) {
       R.K = Request::Kind::Run;
       R.Name = P.Name;

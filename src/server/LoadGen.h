@@ -109,7 +109,9 @@ struct LoadOptions {
   size_t Programs = 32;     ///< Workload size (shared by all clients).
   size_t PipelineDepth = 4; ///< RUNs sent per pipelined batch.
   /// Every Nth traffic request is a RUN with fuel 1: it must come back
-  /// as a typed TIMEOUT (counted separately, never an error). 0 = never.
+  /// as a typed TIMEOUT (counted separately, never an error). Client i
+  /// starves its request j when (i + j) % N == N - 1, so clients that
+  /// send fewer than N requests starve some too. 0 = never.
   size_t TimeoutPeriod = 16;
   /// Every Nth traffic request is a warm re-COMPILE. 0 = never.
   size_t RecompilePeriod = 5;

@@ -23,8 +23,10 @@
 ///     when the class variable is rep-polymorphic). Instance methods
 ///     become ordinary monomorphic top-level bindings ($c<method>_<Head>)
 ///     exactly as in the paper's $d story;
-///   * the two Section 5.1 restrictions run as the separate LevityCheck
-///     pass over the produced core (GHC's desugarer check, Section 8.2).
+///   * Core Lint (core/TypeCheck.h) is the one pass over the produced
+///     core: it types it, sets the strictness bits from the solved kinds
+///     and checks the two Section 5.1 restrictions (GHC's desugarer
+///     check, Section 8.2), all in one walk.
 ///
 /// The elaborator also exposes the kind-inference entry point used by the
 /// Section 8.1 class-generalizability analysis (classlib).
@@ -34,7 +36,6 @@
 #ifndef LEVITY_SURFACE_ELABORATE_H
 #define LEVITY_SURFACE_ELABORATE_H
 
-#include "core/LevityCheck.h"
 #include "core/Program.h"
 #include "core/TypeCheck.h"
 #include "infer/Unify.h"
@@ -90,21 +91,22 @@ public:
   Elaborator(core::CoreContext &C, DiagnosticEngine &Diags)
       : C(C), Diags(Diags), Checker(C), Unify(C, Diags) {}
 
-  /// Elaborates a whole module: elaborate(), then lint(), then
-  /// levityCheck(). Returns nullopt if any error was reported
-  /// (diagnostics carry the details).
+  /// Elaborates a whole module: elaborate(), then lint(). Returns
+  /// nullopt if any error was reported (diagnostics carry the details).
   std::optional<ElabOutput> run(const SModule &M);
 
-  /// The three stages run() chains, for callers that time them apart.
-  /// elaborate() infers and translates the module (passes 1-5) and fixes
-  /// the strictness bits of the module's bindings; lint() runs Core Lint
-  /// and levityCheck() the Section 5.1 checks (GHC's desugarer-time pass,
-  /// Section 8.2) over them. The prelude's bindings were checked once,
-  /// when it was built. lint() and levityCheck() take the last
-  /// elaborate()'s output and return false on an error.
+  /// The two stages run() chains, for callers that time them apart.
+  /// elaborate() infers and translates the module (passes 1-5). lint()
+  /// runs Core Lint over the module's bindings, the one post-inference
+  /// walk: it sets their strictness bits and checks Section 5.1 (GHC's
+  /// desugarer-time check, Section 8.2). The prelude's bindings were
+  /// linted once, when it was built. lint() takes the last elaborate()'s
+  /// output and returns false on an error.
   std::optional<ElabOutput> elaborate(const SModule &M);
   bool lint(const ElabOutput &Out);
-  bool levityCheck(const ElabOutput &Out);
+
+  /// CoreChecker::typeOf node visits so far (lint's walk).
+  uint64_t typeOfVisits() const { return Checker.typeOfVisits(); }
 
   /// The classes declared by the last run (plus none built in).
   const std::vector<ClassInfo> &classes() const { return Classes; }

@@ -154,7 +154,7 @@ void Elaborator::elabBinding(const SBindDecl &B, const SType *Sig,
 
 std::optional<ElabOutput> Elaborator::run(const SModule &M) {
   std::optional<ElabOutput> Out = elaborate(M);
-  if (!Out || !lint(*Out) || !levityCheck(*Out))
+  if (!Out || !lint(*Out))
     return std::nullopt;
   return Out;
 }
@@ -227,13 +227,10 @@ std::optional<ElabOutput> Elaborator::elaborate(const SModule &M) {
   if (Diags.numErrors() != Before)
     return std::nullopt;
 
-  // Post-inference: fix the strictness bits of the module's bindings
-  // from their solved kinds.
+  // The globals lint() types the module's bindings against.
   TopEnv = CoreEnv();
   for (const TopBinding &B : P.Bindings)
     TopEnv.addGlobal(B.Name, B.Ty);
-  for (size_t I = Out.NumPreludeBindings; I != P.Bindings.size(); ++I)
-    Checker.fixStrictness(TopEnv, P.Bindings[I].Rhs);
   return Out;
 }
 
@@ -242,15 +239,6 @@ bool Elaborator::lint(const ElabOutput &Out) {
   bool Clean = true;
   for (const TopBinding &B : Bs.subspan(Out.NumPreludeBindings))
     Clean &= Checker.lint(TopEnv, B, Diags);
-  return Clean;
-}
-
-bool Elaborator::levityCheck(const ElabOutput &Out) {
-  std::span<const TopBinding> Bs = Out.Program.Bindings;
-  LevityChecker LC(C, Diags);
-  bool Clean = true;
-  for (const TopBinding &B : Bs.subspan(Out.NumPreludeBindings))
-    Clean &= LC.check(TopEnv, B.Rhs);
   return Clean;
 }
 

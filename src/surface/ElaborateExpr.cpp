@@ -228,7 +228,7 @@ Elaborator::Typed Elaborator::applyOne(Typed Fn, const SExpr &Arg,
   Typed A = checkExpr(Arg, F->param());
   if (!A)
     return {};
-  // Provisional strictness: refined by fixStrictness once metas solve.
+  // Provisional strictness: Core Lint sets it once metas solve.
   bool Strict = false;
   const Kind *PK = C.zonkKind(kindOfUnify(F->param()));
   if (PK->isTypeOf()) {

@@ -8,6 +8,7 @@
 #include "surface/Lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 using namespace levity;
 using namespace levity::surface;
@@ -249,13 +250,18 @@ Token Lexer::number() {
 
   Token T = make(TokKind::Eof, Digits);
   T.Loc = Loc;
+  const char *First = Digits.data(), *Last = First + Digits.size();
+  std::from_chars_result R;
   if (IsDouble || Hashes == 2) {
-    T.DoubleValue = std::stod(Digits);
+    R = std::from_chars(First, Last, T.DoubleValue);
     T.Kind = Hashes >= 1 ? TokKind::DoubleHashLit : TokKind::DoubleLit;
   } else {
-    T.IntValue = std::stoll(Digits);
+    R = std::from_chars(First, Last, T.IntValue);
     T.Kind = Hashes == 1 ? TokKind::IntHashLit : TokKind::IntLit;
   }
+  if (R.ec != std::errc())
+    Diags.error(DiagCode::LexError, "numeric literal out of range: " + Digits,
+                Loc);
   return T;
 }
 

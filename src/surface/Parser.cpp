@@ -158,8 +158,14 @@ SDataDecl Parser::parseData() {
       expect(TokKind::ConId, "in constructor declaration");
       break;
     }
-    while (!at(TokKind::Pipe) && !at(TokKind::Semi) && !at(TokKind::Eof))
-      Con.Fields.push_back(parseAType());
+    while (!at(TokKind::Pipe) && !at(TokKind::Semi) && !at(TokKind::Eof)) {
+      // A token that starts no type ends the fields, already reported;
+      // the declaration loop resynchronizes past it.
+      STypePtr Field = parseAType();
+      if (!Field)
+        break;
+      Con.Fields.push_back(std::move(Field));
+    }
     D.Cons.push_back(std::move(Con));
   } while (eat(TokKind::Pipe));
   return D;

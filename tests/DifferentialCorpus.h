@@ -22,7 +22,8 @@
 // answers, levity-polymorphic programs, bottoms, and the known
 // out-of-fragment shapes (InFragment == false), which every harness
 // must see reported as Unsupported — never a crash or silent
-// divergence. Rejected lists the programs the levity checker refuses.
+// divergence. Rejected lists the programs Core Lint's Section 5.1 checks
+// refuse.
 //
 //===----------------------------------------------------------------------===//
 
@@ -335,7 +336,8 @@ inline constexpr CorpusProgram Corpus[] = {
 
 inline constexpr size_t CorpusSize = sizeof(Corpus) / sizeof(Corpus[0]);
 
-/// A program the levity checker must reject with a typed diagnostic.
+/// A program Core Lint's Section 5.1 checks must reject with a typed
+/// diagnostic.
 struct RejectedProgram {
   const char *Label;
   const char *Source;

@@ -614,7 +614,7 @@ TEST(ArtifactStoreTest, HydratedMetadataSurvivesWithoutFrontEnd) {
 
   // The timing report restores the original stages plus "hydrate".
   std::string Report = Comp->timingReport();
-  EXPECT_NE(Report.find("levity-check"), std::string::npos) << Report;
+  EXPECT_NE(Report.find("lint"), std::string::npos) << Report;
   EXPECT_NE(Report.find("hydrate"), std::string::npos) << Report;
 
   // Unknown globals fail with a diagnostic, not a crash: the run rebuilds

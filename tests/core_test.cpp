@@ -11,7 +11,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/LevityCheck.h"
 #include "core/Prelude.h"
 #include "core/TypeCheck.h"
 
@@ -281,14 +280,39 @@ TEST_F(CoreLintTest, LambdaAndApplication) {
   EXPECT_TRUE(typeEqual(typeOk(App), C.intHashTy()));
 }
 
-// The strictness bit must agree with the argument kind.
-TEST_F(CoreLintTest, StrictnessBitChecked) {
-  Symbol X = C.sym("x");
-  const Expr *Id = C.lam(X, C.intHashTy(), C.var(X));
-  const Expr *Wrong = C.app(Id, C.litInt(3), /*StrictArg=*/false);
-  Result<const Type *> T = Checker.typeOf(Env, Wrong);
-  ASSERT_FALSE(T.ok());
-  EXPECT_NE(T.error().find("strictness bit"), std::string::npos);
+// Core Lint sets each App and Let strictness bit from the argument's or
+// binder's concrete kind, whichever way the bit was wrong; plain typeOf
+// leaves the bits alone.
+TEST_F(CoreLintTest, LintSetsStrictnessBits) {
+  Symbol X = C.sym("x"), Y = C.sym("y");
+  const auto *Strict = cast<AppExpr>(C.app(
+      C.lam(X, C.intHashTy(), C.var(X)), C.litInt(3), /*StrictArg=*/false));
+  const auto *StrictLet = cast<LetExpr>(
+      C.let(Y, C.intHashTy(), Strict, C.var(Y), /*Strict=*/false));
+  Symbol Z = C.sym("z"), W = C.sym("w");
+  const Expr *Three = C.litInt(3);
+  const auto *Lazy = cast<AppExpr>(
+      C.app(C.lam(Z, C.intTy(), C.var(Z)),
+            C.conApp(C.iHashCon(), {}, {&Three, 1}), /*StrictArg=*/true));
+  const auto *LazyLet = cast<LetExpr>(
+      C.let(W, C.intTy(), Lazy, C.var(W), /*Strict=*/true));
+
+  ASSERT_NE(typeOk(StrictLet), nullptr);
+  ASSERT_NE(typeOk(LazyLet), nullptr);
+  EXPECT_FALSE(Strict->strictArg());
+  EXPECT_FALSE(StrictLet->strict());
+  EXPECT_TRUE(Lazy->strictArg());
+  EXPECT_TRUE(LazyLet->strict());
+
+  DiagnosticEngine Diags;
+  EXPECT_TRUE(Checker.lint(Env, {C.sym("u"), C.intHashTy(), StrictLet},
+                           Diags));
+  EXPECT_TRUE(Checker.lint(Env, {C.sym("v"), C.intTy(), LazyLet}, Diags));
+  EXPECT_TRUE(Diags.diagnostics().empty()) << Diags.str();
+  EXPECT_TRUE(Strict->strictArg());
+  EXPECT_TRUE(StrictLet->strict());
+  EXPECT_FALSE(Lazy->strictArg());
+  EXPECT_FALSE(LazyLet->strict());
 }
 
 TEST_F(CoreLintTest, TypeAbstractionAndApplication) {
@@ -311,8 +335,9 @@ TEST_F(CoreLintTest, RepPolymorphicInstantiation) {
   Symbol R = C.sym("r"), A = C.sym("a"), X = C.sym("x");
   const Kind *KA = C.kindTYPE(C.repVar(R));
   const Type *AT = C.varTy(A, KA);
-  // The *expression* binds x :: a (levity-polymorphic binder!); Lint
-  // accepts it — LevityCheck is the pass that rejects (tested there).
+  // The *expression* binds x :: a (levity-polymorphic binder!); typeOf
+  // accepts it — Lint's Section 5.1 check is what rejects it
+  // (levity_check_test).
   const Expr *E = C.tyLam(
       R, C.repKind(), C.tyLam(A, KA, C.lam(X, AT, C.var(X))));
   const Type *T = typeOk(E);
@@ -400,11 +425,8 @@ TEST(PreludeTest, BuiltinsPassLintAndTheLevityCheck) {
   DiagnosticEngine Diags;
   for (const TopBinding &B : P.bindings())
     Env.addGlobal(B.Name, B.Ty);
-  LevityChecker LC(C, Diags);
-  for (const TopBinding &B : P.bindings()) {
+  for (const TopBinding &B : P.bindings())
     EXPECT_TRUE(Checker.lint(Env, B, Diags)) << B.Name.str();
-    EXPECT_TRUE(LC.check(Env, B.Rhs)) << B.Name.str();
-  }
   EXPECT_TRUE(Diags.diagnostics().empty()) << Diags.str();
 }
 

@@ -781,12 +781,11 @@ TEST(DriverTest, TimingsCoverEveryStage) {
   Session S;
   auto Comp = S.compile(QuickstartSrc);
   ASSERT_TRUE(Comp->ok());
-  ASSERT_EQ(Comp->timings().size(), 5u);
+  ASSERT_EQ(Comp->timings().size(), 4u);
   EXPECT_EQ(Comp->timings()[0].Stage, "lex");
   EXPECT_EQ(Comp->timings()[1].Stage, "parse");
   EXPECT_EQ(Comp->timings()[2].Stage, "elaborate");
   EXPECT_EQ(Comp->timings()[3].Stage, "lint");
-  EXPECT_EQ(Comp->timings()[4].Stage, "levity-check");
   for (const StageTiming &T : Comp->timings())
     EXPECT_GE(T.Millis, 0.0);
   EXPECT_FALSE(Comp->timingReport().empty());

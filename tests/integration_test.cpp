@@ -192,9 +192,9 @@ TEST(IntegrationTest, RunawayLoopHitsFuel) {
   EXPECT_EQ(R.Status, runtime::InterpStatus::OutOfFuel);
 }
 
-// Full pipeline stats: the elaborated sample program's Lint and
-// LevityCheck both ran (no diagnostics), and every user binding got a
-// zonked, closed type.
+// Full pipeline stats: the elaborated sample program's Core Lint, its
+// Section 5.1 checks included, ran with no diagnostics, and every user
+// binding got a zonked, closed type.
 TEST(IntegrationTest, AllBindingsHaveClosedTypes) {
   Pipeline P;
   ASSERT_TRUE(P.compile("f x = x + 1 ;"

@@ -5,13 +5,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The LevityCheck pass: the acceptance matrix for the paper's examples.
+// Core Lint's Section 5.1 checks: the acceptance matrix for the paper's
+// examples.
 // Notably the abs1/abs2 pair of Section 7.3 — η-equivalent definitions
 // where one is accepted and the other rejected — and the bTwice story.
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/LevityCheck.h"
+#include "core/TypeCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -24,12 +25,52 @@ class LevityCheckTest : public ::testing::Test {
 protected:
   CoreContext C;
   DiagnosticEngine Diags;
-  LevityChecker Checker{C, Diags};
+  CoreChecker Checker{C};
   CoreEnv Env;
 
+  /// Lints \p E as a binding of the type typeOf gives it.
   bool check(const Expr *E) {
     Diags.clear();
-    return Checker.check(Env, E);
+    Result<const Type *> T = Checker.typeOf(Env, E);
+    EXPECT_TRUE(T.ok()) << (T.ok() ? "" : T.error()) << " for " << E->str();
+    return T.ok() && Checker.lint(Env, {C.sym("it"), *T, E}, Diags);
+  }
+
+  // The pinned-order tests below quantify over r and a :: TYPE r.
+  Symbol RVar = C.sym("r"), AVar = C.sym("a");
+  const Kind *PolyKind = C.kindTYPE(C.repVar(RVar));
+  const Type *PolyTy = C.varTy(AVar, PolyKind);
+
+  /// /\(r :: Rep). /\(a :: TYPE r). Body.
+  const Expr *overPoly(const Expr *Body) {
+    return C.tyLam(RVar, C.repKind(), C.tyLam(AVar, PolyKind, Body));
+  }
+  /// error @r @a Msg: a levity-polymorphic value, bound nowhere.
+  const Expr *polyValue(const char *Msg) {
+    return C.errorExpr(PolyTy, C.repVar(RVar), C.litString(C.sym(Msg)));
+  }
+  /// error @LiftedRep @T Name: a lifted stand-in of type \p T.
+  const Expr *lifted(const Type *T, const char *Name) {
+    return C.errorExpr(T, C.liftedRep(), C.litString(C.sym(Name)));
+  }
+  /// Box :: TYPE r -> Type with MkBox :: forall (b :: TYPE r). b -> Box b,
+  /// a constructor whose field is levity-polymorphic.
+  const DataCon *boxCon() {
+    Symbol B = C.sym("b");
+    TyCon *Box = C.makeTyCon(C.sym("Box"),
+                             C.kindArrow(PolyKind, C.typeKind()),
+                             C.liftedRep());
+    return C.makeDataCon(C.sym("MkBox"), Box, {B}, {PolyKind},
+                         {C.varTy(B, PolyKind)});
+  }
+  Alt conAlt(const DataCon *DC, std::initializer_list<Symbol> Binders,
+             const Expr *Rhs) {
+    Alt A;
+    A.Kind = Alt::AltKind::ConPat;
+    A.Con = DC;
+    A.Binders = C.arena().copyArray(Binders);
+    A.Rhs = Rhs;
+    return A;
   }
 };
 
@@ -220,6 +261,116 @@ TEST_F(LevityCheckTest, SolvedRepMetaAccepted) {
   C.typeMetaCell(cast<MetaType>(AT)->id()).Solution = C.intTy();
   const Expr *E = C.lam(X, AT, C.var(X));
   EXPECT_TRUE(check(E)) << Diags.str();
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned emission: every violation of a binding, in pre-order
+//===----------------------------------------------------------------------===//
+//
+// A binding with several violations reports each once, in the order of a
+// pre-order walk: a node's own binder or argument before anything inside
+// it, siblings left to right. Each test pins the whole Diags.str().
+
+/// One binder line of Diags.str(), for a binder of type a :: TYPE r.
+std::string binderLine(const std::string &Var) {
+  return "error [levity-polymorphic-binder]: levity-polymorphic binder: " +
+         Var + " :: a has kind TYPE r, which does not determine a "
+               "representation\n";
+}
+
+/// One argument line of Diags.str(), for an argument of type a :: TYPE r.
+std::string argumentLine(const std::string &Arg) {
+  return "error [levity-polymorphic-argument]: levity-polymorphic function "
+         "argument: " +
+         Arg + " :: a has kind TYPE r, which does not determine a calling "
+               "convention\n";
+}
+
+TEST_F(LevityCheckTest, PinnedLambdaBinders) {
+  Symbol X = C.sym("x"), Y = C.sym("y"), Z = C.sym("z");
+  const Expr *E = overPoly(C.lam(
+      X, PolyTy, C.lam(Y, C.intTy(), C.lam(Z, PolyTy, C.var(X)))));
+  EXPECT_FALSE(check(E));
+  EXPECT_EQ(Diags.str(), binderLine("x") + binderLine("z"));
+}
+
+TEST_F(LevityCheckTest, PinnedLetAndLetrecBinders) {
+  Symbol X = C.sym("x"), Y = C.sym("y"), F = C.sym("f"), G = C.sym("g"),
+         H = C.sym("h");
+  const RecBinding Rec[] = {{F, PolyTy, C.var(F)},
+                            {G, C.intTy(), C.var(G)},
+                            {H, PolyTy, C.var(H)}};
+  const Expr *E = overPoly(C.lam(
+      X, PolyTy,
+      C.let(Y, PolyTy, C.var(X), C.letRec(Rec, C.var(Y)), false)));
+  EXPECT_FALSE(check(E));
+  EXPECT_EQ(Diags.str(), binderLine("x") + binderLine("y") +
+                             binderLine("f") + binderLine("h"));
+}
+
+// The con-pattern binder, then the scrutinee tuple's argument, then the
+// tuple-pattern binder.
+TEST_F(LevityCheckTest, PinnedConAndTuplePatternBinders) {
+  const DataCon *MkBox = boxCon();
+  Symbol S = C.sym("s"), Y = C.sym("y"), P = C.sym("p"), Q = C.sym("q");
+  const Expr *Pair[] = {polyValue("u"), C.litInt(1)};
+  Alt TupleAlt;
+  TupleAlt.Kind = Alt::AltKind::TuplePat;
+  TupleAlt.Binders = C.arena().copyArray({P, Q});
+  TupleAlt.Rhs = C.var(Q);
+  const Expr *Inner =
+      C.caseOf(C.unboxedTuple(Pair), C.intHashTy(), {&TupleAlt, 1});
+  Alt BoxAlt = conAlt(MkBox, {Y}, Inner);
+  const Type *BoxA = C.appTy(C.conTy(const_cast<TyCon *>(MkBox->parent())),
+                             PolyTy);
+  const Expr *E = overPoly(
+      C.lam(S, BoxA, C.caseOf(C.var(S), C.intHashTy(), {&BoxAlt, 1})));
+  EXPECT_FALSE(check(E));
+  EXPECT_EQ(Diags.str(), binderLine("y") +
+                             argumentLine("error @r @(a) \"u\"") +
+                             binderLine("p"));
+}
+
+// A primop's parameters are concrete, so a well-typed primop argument
+// cannot violate Section 5.1 itself; the Prim here holds a violation
+// inside its argument, reported after its tuple siblings'.
+TEST_F(LevityCheckTest, PinnedAppConPrimAndTupleArguments) {
+  const DataCon *MkBox = boxCon();
+  Symbol N = C.sym("n");
+  const Expr *F = lifted(C.funTy(PolyTy, C.intTy()), "f");
+  const Type *BoxArgs[] = {PolyTy};
+  const Expr *BoxField[] = {polyValue("q")};
+  Alt IHash = conAlt(C.iHashCon(), {N}, C.var(N));
+  const Expr *Unbox = C.caseOf(C.app(F, polyValue("t"), false),
+                               C.intHashTy(), {&IHash, 1});
+  const Expr *Elems[] = {
+      C.app(F, polyValue("p"), false),
+      C.conApp(MkBox, BoxArgs, BoxField),
+      polyValue("s"),
+      C.primOp(PrimOp::AddI, {Unbox, C.litInt(1)}),
+  };
+  const Expr *E = overPoly(C.unboxedTuple(Elems));
+  EXPECT_FALSE(check(E));
+  EXPECT_EQ(Diags.str(), argumentLine("error @r @(a) \"p\"") +
+                             argumentLine("error @r @(a) \"q\"") +
+                             argumentLine("error @r @(a) \"s\"") +
+                             argumentLine("error @r @(a) \"t\""));
+}
+
+// An argument that is itself levity-polymorphic and holds another: the
+// outer one is reported first, although its kind is known last.
+TEST_F(LevityCheckTest, PinnedNestedArguments) {
+  const Expr *F = lifted(C.funTy(PolyTy, C.intTy()), "f");
+  const Expr *G = lifted(C.funTy(PolyTy, PolyTy), "g");
+  const Expr *E = overPoly(C.app(
+      F, C.app(G, C.app(G, polyValue("x"), false), false), false));
+  EXPECT_FALSE(check(E));
+  const std::string G2 = "error @LiftedRep @(a -> a) \"g\" (error "
+                         "@LiftedRep @(a -> a) \"g\" (error @r @(a) \"x\"))";
+  const std::string G1 =
+      "error @LiftedRep @(a -> a) \"g\" (error @r @(a) \"x\")";
+  EXPECT_EQ(Diags.str(), argumentLine(G2) + argumentLine(G1) +
+                             argumentLine("error @r @(a) \"x\""));
 }
 
 } // namespace

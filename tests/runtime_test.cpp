@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "PipelineFixture.h"
-#include "core/LevityCheck.h"
+#include "core/TypeCheck.h"
 #include "runtime/Interp.h"
 #include "runtime/Samples.h"
 
@@ -203,8 +203,8 @@ TEST_F(SamplesTest, DivModBoxedAllocates) {
   EXPECT_GE(R.Stats.BoxAllocs, 3u);
 }
 
-// The samples typecheck under Core Lint and pass the levity checker —
-// the pipeline invariant every elaborated program must satisfy.
+// The samples pass Core Lint, Section 5.1 checks included — the
+// pipeline invariant every elaborated program must satisfy.
 TEST_F(SamplesTest, SamplesLintAndLevityCheck) {
   CoreProgram P = buildSampleProgram(C);
   CoreChecker Checker(C);
@@ -212,16 +212,9 @@ TEST_F(SamplesTest, SamplesLintAndLevityCheck) {
   for (const TopBinding &B : P.Bindings)
     Env.addGlobal(B.Name, B.Ty);
   DiagnosticEngine Diags;
-  LevityChecker LC(C, Diags);
-  for (const TopBinding &B : P.Bindings) {
-    Result<const Type *> T = Checker.typeOf(Env, B.Rhs);
-    ASSERT_TRUE(T.ok()) << std::string(B.Name.str()) << ": " << T.error();
-    EXPECT_TRUE(typeEqual(C.zonkType(*T), C.zonkType(B.Ty)))
-        << std::string(B.Name.str()) << " : " << (*T)->str() << " vs "
-        << B.Ty->str();
-    EXPECT_TRUE(LC.check(Env, B.Rhs))
+  for (const TopBinding &B : P.Bindings)
+    EXPECT_TRUE(Checker.lint(Env, B, Diags))
         << std::string(B.Name.str()) << ": " << Diags.str();
-  }
 }
 
 // Fuel exhaustion is reported, not hung.

@@ -862,4 +862,24 @@ TEST(LoadGenTest, InProcessLoadRunIsClean) {
   EXPECT_EQ(S.inFlight(), 0u);
 }
 
+// CI's widest load shape, 64 clients of 8 requests each, sends typed
+// TIMEOUTs too: the starved RUNs are offset by client index, so the 32
+// clients whose index is 8-15 mod 16 each send one.
+TEST(LoadGenTest, WideShapeSendsStarvedRuns) {
+  ServerOptions Opts;
+  Opts.MaxQueueDepth = 256;
+  Server S(Opts);
+  LoadOptions Load;
+  Load.Clients = 64;
+  Load.RequestsPerClient = 8;
+  Load.Programs = 16;
+  Load.PipelineDepth = 4;
+  LoadReport R = runLoad(
+      [&](size_t) { return std::make_unique<InProcessClient>(S); }, Load);
+  EXPECT_TRUE(R.clean()) << formatReport(R, false);
+  EXPECT_EQ(R.Timeouts, 32u);
+  EXPECT_EQ(R.WrongAnswers, 0u);
+  EXPECT_EQ(S.inFlight(), 0u);
+}
+
 } // namespace

@@ -6,15 +6,18 @@
 //===----------------------------------------------------------------------===//
 //
 // Full pipeline: source text → lex → parse → infer/elaborate (with rep
-// metavariables and levity defaulting) → core lint → levity check →
-// evaluation. Covers the paper's running examples end to end:
-// sumTo/sumTo# (Section 2.1), divMod (2.3), error/myError (3.3/5.2),
+// metavariables and levity defaulting) → core lint (which sets the
+// strictness bits and checks Section 5.1) → evaluation. Covers the
+// paper's running examples end to end: sumTo/sumTo# (Section 2.1), divMod (2.3), error/myError (3.3/5.2),
 // bTwice (3.1/5), ($)/(.) generalizations (7.2), and the inference
 // stories of Section 5.2 (experiments E1/E3/E7/E10 acceptance matrix).
 //
 //===----------------------------------------------------------------------===//
 
 #include "PipelineFixture.h"
+
+#include "surface/Lexer.h"
+#include "surface/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -296,6 +299,31 @@ TEST(PipelineTest, InstantiationPrincipleViaKinds) {
                          "bad :: Int# -> Int# ;"
                          "bad n = apply (\\x -> x) n"));
   EXPECT_TRUE(P.diags().hasError(DiagCode::KindError)) << P.diags().str();
+}
+
+// Typing work is linear in nesting depth. Core Lint types each node of a
+// left-nested `+#` chain once, so doubling the chain about doubles
+// CoreChecker::typeOf's node visits; a pass that re-types every
+// argument's subtree would quadruple them.
+TEST(PipelineTest, TypingVisitsGrowLinearlyWithNesting) {
+  uint64_t Previous = 0;
+  for (unsigned Levels : {32u, 64u, 128u}) {
+    std::string Src = "v = 1#";
+    for (unsigned I = 1; I != Levels; ++I)
+      Src += " +# 1#";
+    DiagnosticEngine Diags;
+    core::CoreContext C;
+    Elaborator Elab(C, Diags);
+    SModule M = Parser(Lexer(Src, Diags).lexAll(), Diags).parseModule();
+    ASSERT_TRUE(Elab.run(M).has_value()) << Diags.str();
+    uint64_t Visits = Elab.typeOfVisits();
+    EXPECT_GE(Visits, uint64_t(Levels)) << Levels << " levels";
+    if (Previous != 0)
+      EXPECT_LE(double(Visits), 2.2 * double(Previous))
+          << Levels << " levels: " << Visits << " visits, " << Previous
+          << " at half the depth";
+    Previous = Visits;
+  }
 }
 
 } // namespace

@@ -33,6 +33,24 @@ TEST(LexerTest, MagicHashLiterals) {
   EXPECT_EQ(T[4].Kind, TokKind::IntHashLit);
 }
 
+// A literal past the range of its type is a lexer diagnostic, not an
+// exception out of the front end.
+TEST(LexerTest, OutOfRangeLiteralsAreLexErrors) {
+  const std::string Big(400, '9');
+  const std::pair<std::string, bool> Cases[] = {
+      {"9223372036854775807#", true}, // INT64_MAX
+      {"9223372036854775808#", false},
+      {Big + "#", false},
+      {Big + ".5##", false},
+      {"1." + Big + "##", true}, // Rounds to 2.0.
+  };
+  for (const auto &[Src, InRange] : Cases) {
+    DiagnosticEngine D;
+    lex(Src, D);
+    EXPECT_EQ(D.hasError(DiagCode::LexError), !InRange) << Src << D.str();
+  }
+}
+
 TEST(LexerTest, HashSuffixedNames) {
   DiagnosticEngine D;
   std::vector<Token> T = lex("Int# sumTo# x", D);
